@@ -11,8 +11,8 @@
 ///   $ ./protocol_trace
 
 #include <cstdio>
-#include <iostream>
 
+#include "lamsdlc/obs/event.hpp"
 #include "lamsdlc/sim/scenario.hpp"
 #include "lamsdlc/workload/sources.hpp"
 
@@ -28,9 +28,17 @@ int main() {
   cfg.lams.checkpoint_interval = 5_ms;
   cfg.lams.cumulation_depth = 3;
   cfg.lams.max_rtt = 15_ms;
-  cfg.tracer = Tracer{Tracer::print_to(std::cout)};
 
   sim::Scenario s{cfg};
+  // Print the protocol endpoints' events; the bus also carries link events.
+  s.events().subscribe([](const obs::Event& e) {
+    if (e.source != obs::Source::kLamsSender &&
+        e.source != obs::Source::kLamsReceiver) {
+      return;
+    }
+    std::printf("[%12.6fs] %s: %s\n", e.at.sec(), obs::to_string(e.source),
+                obs::describe(e).c_str());
+  });
 
   std::printf("=== phase 1: five frames, the third one dies on the wire ===\n");
   // Frame 2 occupies [2*tx, 3*tx) on the 10 Mbps link (tx = 835.2 us).

@@ -15,7 +15,6 @@
 #include <map>
 
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/frame/seqspace.hpp"
 #include "lamsdlc/hdlc/config.hpp"
 #include "lamsdlc/link/link.hpp"
@@ -28,7 +27,7 @@ namespace lamsdlc::hdlc {
 class GbnSender final : public sim::DlcSender, public link::FrameSink {
  public:
   GbnSender(Simulator& sim, link::SimplexChannel& data_out, HdlcConfig cfg,
-            sim::DlcStats* stats = nullptr, Tracer tracer = {});
+            sim::DlcStats* stats = nullptr);
   ~GbnSender() override;
 
   GbnSender(const GbnSender&) = delete;
@@ -55,13 +54,11 @@ class GbnSender final : public sim::DlcSender, public link::FrameSink {
   void go_back_to(std::uint64_t ctr);
   void arm_timeout();
   void on_timeout();
-  void trace(std::string what) const;
 
   Simulator& sim_;
   link::SimplexChannel& out_;
   HdlcConfig cfg_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
   frame::SeqSpace seqspace_;
 
   std::deque<sim::Packet> queue_;
@@ -78,7 +75,7 @@ class GbnReceiver final : public link::FrameSink {
  public:
   GbnReceiver(Simulator& sim, link::SimplexChannel& control_out,
               HdlcConfig cfg, sim::PacketListener* listener,
-              sim::DlcStats* stats = nullptr, Tracer tracer = {});
+              sim::DlcStats* stats = nullptr);
 
   GbnReceiver(const GbnReceiver&) = delete;
   GbnReceiver& operator=(const GbnReceiver&) = delete;
@@ -92,14 +89,11 @@ class GbnReceiver final : public link::FrameSink {
   [[nodiscard]] std::uint64_t frames_discarded() const noexcept { return discarded_; }
 
  private:
-  void trace(std::string what) const;
-
   Simulator& sim_;
   link::SimplexChannel& out_;
   HdlcConfig cfg_;
   sim::PacketListener* listener_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
   frame::SeqSpace seqspace_;
 
   std::uint64_t vr_{0};

@@ -28,7 +28,6 @@
 #include <map>
 
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/frame/seqspace.hpp"
 #include "lamsdlc/hdlc/config.hpp"
 #include "lamsdlc/link/link.hpp"
@@ -41,7 +40,7 @@ namespace lamsdlc::hdlc {
 class SrSender final : public sim::DlcSender, public link::FrameSink {
  public:
   SrSender(Simulator& sim, link::SimplexChannel& data_out, HdlcConfig cfg,
-           sim::DlcStats* stats = nullptr, Tracer tracer = {});
+           sim::DlcStats* stats = nullptr);
   ~SrSender() override;
 
   SrSender(const SrSender&) = delete;
@@ -77,13 +76,11 @@ class SrSender final : public sim::DlcSender, public link::FrameSink {
   void arm_timeout();
   void on_timeout();
   void note_buffer_change();
-  void trace(std::string what) const;
 
   Simulator& sim_;
   link::SimplexChannel& out_;
   HdlcConfig cfg_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
   frame::SeqSpace seqspace_;
 
   std::deque<sim::Packet> queue_;        ///< Admitted, not yet in the window.
@@ -105,8 +102,7 @@ class SrSender final : public sim::DlcSender, public link::FrameSink {
 class SrReceiver final : public link::FrameSink {
  public:
   SrReceiver(Simulator& sim, link::SimplexChannel& control_out, HdlcConfig cfg,
-             sim::PacketListener* listener, sim::DlcStats* stats = nullptr,
-             Tracer tracer = {});
+             sim::PacketListener* listener, sim::DlcStats* stats = nullptr);
 
   SrReceiver(const SrReceiver&) = delete;
   SrReceiver& operator=(const SrReceiver&) = delete;
@@ -127,14 +123,12 @@ class SrReceiver final : public link::FrameSink {
   void handle_iframe(const frame::HdlcIFrame& in, bool corrupted);
   void deliver_ready();
   void respond();
-  void trace(std::string what) const;
 
   Simulator& sim_;
   link::SimplexChannel& out_;
   HdlcConfig cfg_;
   sim::PacketListener* listener_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
   frame::SeqSpace seqspace_;
 
   std::uint64_t vr_{0};  ///< Next in-sequence counter expected.

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/frame/seqspace.hpp"
 #include "lamsdlc/lams/config.hpp"
 #include "lamsdlc/link/link.hpp"
@@ -39,13 +38,10 @@ namespace lamsdlc::lams {
 /// and give it the *reverse* channel for checkpoint transmission.
 class LamsReceiver final : public link::FrameSink {
  public:
-  /// \p bus (optional) receives the typed event stream (obs/event.hpp); the
-  /// string \p tracer keeps working as before — it is fed the same events,
-  /// pretty-printed.
+  /// \p bus (optional) receives the typed event stream (obs/event.hpp).
   LamsReceiver(Simulator& sim, link::FrameChannel& control_out,
                LamsConfig cfg, sim::PacketListener* listener,
-               sim::DlcStats* stats = nullptr, Tracer tracer = {},
-               obs::EventBus* bus = nullptr);
+               sim::DlcStats* stats = nullptr, obs::EventBus* bus = nullptr);
 
   LamsReceiver(const LamsReceiver&) = delete;
   LamsReceiver& operator=(const LamsReceiver&) = delete;

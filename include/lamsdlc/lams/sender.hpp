@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/frame/seqspace.hpp"
 #include "lamsdlc/lams/config.hpp"
 #include "lamsdlc/lams/inflight.hpp"
@@ -45,12 +44,9 @@ class LamsSender final : public sim::DlcSender, public link::FrameSink {
  public:
   enum class Mode { kNormal, kEnforcedRecovery, kResyncing, kFailed };
 
-  /// \p bus (optional) receives the typed event stream (obs/event.hpp); the
-  /// string \p tracer keeps working as before — it is fed the same events,
-  /// pretty-printed.
+  /// \p bus (optional) receives the typed event stream (obs/event.hpp).
   LamsSender(Simulator& sim, link::FrameChannel& data_out, LamsConfig cfg,
-             sim::DlcStats* stats = nullptr, Tracer tracer = {},
-             obs::EventBus* bus = nullptr);
+             sim::DlcStats* stats = nullptr, obs::EventBus* bus = nullptr);
 
   LamsSender(const LamsSender&) = delete;
   LamsSender& operator=(const LamsSender&) = delete;

@@ -31,7 +31,6 @@
 #include <functional>
 
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/lams/receiver.hpp"
 #include "lamsdlc/lams/sender.hpp"
 
@@ -58,7 +57,7 @@ class SessionSender final : public sim::DlcSender, public link::FrameSink {
   /// can capture the typed event stream per session.
   SessionSender(Simulator& sim, link::FrameChannel& data_out,
                 SessionConfig cfg, sim::DlcStats* stats = nullptr,
-                Tracer tracer = {}, obs::EventBus* bus = nullptr);
+                obs::EventBus* bus = nullptr);
   ~SessionSender() override;
 
   SessionSender(const SessionSender&) = delete;
@@ -111,12 +110,10 @@ class SessionSender final : public sim::DlcSender, public link::FrameSink {
   void on_inner_failed();
   void try_resync();
   void check_drained();
-  void trace(std::string what) const;
 
   Simulator& sim_;
   link::FrameChannel& out_;
   SessionConfig cfg_;
-  Tracer tracer_;
   LamsSender inner_;
 
   State state_{State::kIdle};
@@ -140,7 +137,7 @@ class SessionReceiver final : public link::FrameSink {
   /// runs can capture the typed event stream per session.
   SessionReceiver(Simulator& sim, link::FrameChannel& control_out,
                   SessionConfig cfg, sim::PacketListener* listener,
-                  sim::DlcStats* stats = nullptr, Tracer tracer = {},
+                  sim::DlcStats* stats = nullptr,
                   obs::EventBus* bus = nullptr);
 
   SessionReceiver(const SessionReceiver&) = delete;
@@ -165,11 +162,8 @@ class SessionReceiver final : public link::FrameSink {
 
  private:
   void reply(frame::SessionFrame::Kind kind, std::uint32_t epoch);
-  void trace(std::string what) const;
 
-  Simulator& sim_;
   link::FrameChannel& out_;
-  Tracer tracer_;
   LamsReceiver inner_;
 
   bool in_session_{false};

@@ -9,7 +9,7 @@
 /// \endcode
 ///
 /// Library structure (see README.md for the guided tour):
-///  - core      — discrete-event kernel, time, randomness, stats, tracing
+///  - core      — discrete-event kernel, time, randomness, stats
 ///  - phy       — CRC, channel error models, FEC codec model
 ///  - orbit     — constellation geometry, visibility windows, contact plans
 ///  - frame     — frame formats, byte codecs, sequence-space arithmetic
@@ -28,7 +28,6 @@
 #include "lamsdlc/core/simulator.hpp"
 #include "lamsdlc/core/stats.hpp"
 #include "lamsdlc/core/time.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/frame/codec.hpp"
 #include "lamsdlc/frame/frame.hpp"
 #include "lamsdlc/frame/seqspace.hpp"

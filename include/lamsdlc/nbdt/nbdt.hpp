@@ -32,10 +32,8 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <string>
 
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/link/link.hpp"
 #include "lamsdlc/sim/dlc.hpp"
 #include "lamsdlc/sim/packet.hpp"
@@ -66,7 +64,7 @@ struct NbdtConfig {
 class NbdtSender final : public sim::DlcSender, public link::FrameSink {
  public:
   NbdtSender(Simulator& sim, link::SimplexChannel& data_out, NbdtConfig cfg,
-             sim::DlcStats* stats = nullptr, Tracer tracer = {});
+             sim::DlcStats* stats = nullptr);
   ~NbdtSender() override;
 
   NbdtSender(const NbdtSender&) = delete;
@@ -92,13 +90,11 @@ class NbdtSender final : public sim::DlcSender, public link::FrameSink {
   void release(std::uint64_t number);
   void queue_retx(std::uint64_t number);
   void on_tail_timer();
-  void trace(std::string what) const;
 
   Simulator& sim_;
   link::SimplexChannel& out_;
   NbdtConfig cfg_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
 
   std::deque<sim::Packet> queue_;             ///< Not yet transmitted.
   std::map<std::uint64_t, Pending> window_;   ///< Unacknowledged, by number.
@@ -113,7 +109,7 @@ class NbdtReceiver final : public link::FrameSink {
  public:
   NbdtReceiver(Simulator& sim, link::SimplexChannel& control_out,
                NbdtConfig cfg, sim::PacketListener* listener,
-               sim::DlcStats* stats = nullptr, Tracer tracer = {});
+               sim::DlcStats* stats = nullptr);
   ~NbdtReceiver() override;
 
   NbdtReceiver(const NbdtReceiver&) = delete;
@@ -134,14 +130,12 @@ class NbdtReceiver final : public link::FrameSink {
  private:
   void status_tick();
   void deliver_ready();
-  void trace(std::string what) const;
 
   Simulator& sim_;
   link::SimplexChannel& out_;
   NbdtConfig cfg_;
   sim::PacketListener* listener_;
   sim::DlcStats* stats_;
-  Tracer tracer_;
 
   bool running_{false};
   EventId status_timer_{0};

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/hdlc/gbn.hpp"
 #include "lamsdlc/hdlc/sr.hpp"
 #include "lamsdlc/lams/receiver.hpp"
@@ -115,9 +114,8 @@ class Flow {
  public:
   Flow(Simulator& sim, Network& net, LinkId link, NodeId from, NodeId to,
        link::SimplexChannel& data, link::SimplexChannel& control,
-       const LinkSpec& spec, Tracer tracer)
-      : Flow{sim, sim, net, link, from, to, data, control, spec,
-             std::move(tracer)} {}
+       const LinkSpec& spec)
+      : Flow{sim, sim, net, link, from, to, data, control, spec} {}
 
   /// Two-kernel form for the parallel driver: the sender lives in \p
   /// tx_sim's partition (with the data channel's serializer), the receiver
@@ -127,7 +125,7 @@ class Flow {
   /// endpoints share `stats_` exactly as before.
   Flow(Simulator& tx_sim, Simulator& rx_sim, Network& net, LinkId link,
        NodeId from, NodeId to, link::SimplexChannel& data,
-       link::SimplexChannel& control, const LinkSpec& spec, Tracer tracer);
+       link::SimplexChannel& control, const LinkSpec& spec);
 
   /// Generic submit/buffer interface (any protocol).
   [[nodiscard]] sim::DlcSender& dlc() noexcept { return *dlc_sender_; }
@@ -208,7 +206,7 @@ class Node final : public sim::PacketListener {
 /// The constellation network builder and runtime.
 class Network {
  public:
-  explicit Network(Simulator& sim, std::uint64_t seed = 1, Tracer tracer = {});
+  explicit Network(Simulator& sim, std::uint64_t seed = 1);
   ~Network();
 
   Network(const Network&) = delete;
@@ -225,8 +223,7 @@ class Network {
   ///
   /// \p nodes_hint, when nonzero, is the expected final node count; nodes
   /// are then assigned in contiguous blocks (keeping Walker planes
-  /// together), otherwise round-robin by id.  Requires a null tracer (the
-  /// text trace is inherently a global sequential log).
+  /// together), otherwise round-robin by id.
   void enable_pdes(std::size_t partitions, std::size_t nodes_hint = 0);
   [[nodiscard]] bool pdes_enabled() const noexcept { return pdes_ != nullptr; }
   /// Partition and kernel owning \p id (serial mode: partition 0, `simulator()`).
@@ -350,7 +347,6 @@ class Network {
 
   Simulator& sim_;
   std::uint64_t seed_;
-  Tracer tracer_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<LinkState>> links_;
   workload::DeliveryTracker tracker_;

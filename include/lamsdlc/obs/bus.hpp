@@ -7,17 +7,14 @@
 /// branch (`enabled()` is false and no event is even constructed — sites
 /// guard with `Emitter::active()`).  Subscribers are the observability
 /// consumers: the metrics collector (`collector.hpp`), a capture writer
-/// (`capture.hpp`), a recording vector in a test, or the legacy string
-/// `Tracer` via `attach_tracer` — which is all the old free-form tracing now
-/// is: one pretty-printing subscriber among others.
+/// (`capture.hpp`), a recording vector in a test, or a printer that renders
+/// each event with `describe()`.
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/obs/event.hpp"
 
 namespace lamsdlc::obs {
@@ -75,40 +72,23 @@ class EventBus {
   std::uint64_t emitted_{0};
 };
 
-/// Bridge the legacy string `Tracer` onto a bus: every event is rendered
-/// with `describe()` and emitted as a classic "[time] source: what" trace
-/// line.  Returns the subscription id (for `unsubscribe`).
-inline EventBus::SubscriptionId attach_tracer(EventBus& bus, Tracer tracer) {
-  return bus.subscribe([t = std::move(tracer)](const Event& e) {
-    t.emit(e.at, to_string(e.source), describe(e));
-  });
-}
-
-/// Per-component emission handle: a shared bus plus the component's own
-/// legacy tracer.  Components build an `Event` only when someone is
-/// listening (`active()`), then `emit` fans it out to the bus and renders it
-/// for the tracer — which is how the old string tracing became a thin
-/// pretty-printing consumer of the typed stream.
+/// Per-component emission handle over an optional shared bus.  Components
+/// build an `Event` only when someone is listening (`active()`).
 class Emitter {
  public:
   Emitter() = default;
-  Emitter(EventBus* bus, Tracer tracer)
-      : bus_{bus}, tracer_{std::move(tracer)} {}
+  explicit Emitter(EventBus* bus) : bus_{bus} {}
 
   [[nodiscard]] bool active() const noexcept {
-    return (bus_ != nullptr && bus_->enabled()) || tracer_.enabled();
+    return bus_ != nullptr && bus_->enabled();
   }
 
   void emit(const Event& e) const {
     if (bus_ != nullptr) bus_->emit(e);
-    if (tracer_.enabled()) tracer_.emit(e.at, to_string(e.source), describe(e));
   }
-
-  [[nodiscard]] EventBus* bus() const noexcept { return bus_; }
 
  private:
   EventBus* bus_ = nullptr;
-  Tracer tracer_;
 };
 
 }  // namespace lamsdlc::obs

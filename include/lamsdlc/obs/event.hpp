@@ -1,7 +1,6 @@
 #pragma once
 /// \file event.hpp
-/// \brief Typed protocol events — the machine-readable counterpart of the
-/// string `Tracer`.
+/// \brief Typed protocol events.
 ///
 /// Every observable protocol occurrence is an `Event`: a kind tag, the
 /// emitting source, the simulation instant, and a small POD payload in a
@@ -304,8 +303,8 @@ struct Event {
 [[nodiscard]] std::optional<Source> source_from_string(std::string_view name) noexcept;
 /// @}
 
-/// Human-readable one-liner ("I-frame ctr=17 pkt=4 attempt=2") — what the
-/// legacy string `Tracer` prints when bridged onto an `EventBus`.
+/// Human-readable one-liner ("iframe tx ctr=17 pkt=4 attempt=2") — what
+/// `lamsdlc_cli inspect` and the `protocol_trace` example print.
 [[nodiscard]] std::string describe(const Event& e);
 
 /// One JSON object (single line, no trailing newline) for external tooling.

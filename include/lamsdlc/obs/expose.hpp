@@ -1,7 +1,8 @@
 #pragma once
 /// \file expose.hpp
-/// \brief Prometheus text exposition of a `Registry`, plus the JSON string
-/// escaping the daemon's hand-built status documents share.
+/// \brief Prometheus text exposition of a `Registry`, plus `json_escape`,
+/// the one JSON string escaper (registry JSON, Perfetto export, the
+/// daemon's status documents).
 ///
 /// The registry's native exports (`write_json`/`write_csv`) are for this
 /// repo's own tooling; `write_prometheus` renders the same registry in the

@@ -24,7 +24,6 @@
 
 #include "lamsdlc/analysis/model.hpp"
 #include "lamsdlc/core/simulator.hpp"
-#include "lamsdlc/core/trace.hpp"
 #include "lamsdlc/hdlc/gbn.hpp"
 #include "lamsdlc/hdlc/sr.hpp"
 #include "lamsdlc/lams/config.hpp"
@@ -72,8 +71,6 @@ struct ScenarioConfig {
   lams::LamsConfig lams;
   hdlc::HdlcConfig hdlc;
   nbdt::NbdtConfig nbdt;
-
-  Tracer tracer;  ///< Optional protocol tracing.
 
   /// Collect metrics (obs::Registry) from the typed event stream.  Off by
   /// default: with no subscriber the event bus costs one branch per site.

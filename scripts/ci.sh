@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The full pre-merge gate, in the order a failure is cheapest to find:
 #
-#   1. tier-1: regular build + the whole ctest suite
+#   1. tier-1: regular build + the whole ctest suite, then the benchmark
+#      harness self-test (perfbench/run.py --self-test), which compiles
+#      against the library's public API — gating.
 #   2. sanitizers: ASan/UBSan build + full suite (scripts/check_sanitize.sh)
 #   3. chaos smoke: 25 seeded fault schedules under the invariant checker,
 #      with event capture enabled — every run must also produce an .ldlcap
@@ -39,6 +41,9 @@ echo "== tier-1: build + tests =="
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+echo "== benchmark harness self-test (gating) =="
+python3 perfbench/run.py --self-test
 
 echo "== sanitized build + tests =="
 scripts/check_sanitize.sh

@@ -1,6 +1,5 @@
 #include "lamsdlc/hdlc/gbn.hpp"
 
-#include <string>
 #include <utility>
 
 namespace lamsdlc::hdlc {
@@ -8,21 +7,16 @@ namespace lamsdlc::hdlc {
 // ---------------------------------------------------------------- sender --
 
 GbnSender::GbnSender(Simulator& sim, link::SimplexChannel& data_out,
-                     HdlcConfig cfg, sim::DlcStats* stats, Tracer tracer)
+                     HdlcConfig cfg, sim::DlcStats* stats)
     : sim_{sim},
       out_{data_out},
       cfg_{cfg},
       stats_{stats},
-      tracer_{std::move(tracer)},
       seqspace_{cfg.modulus} {
   out_.set_idle_callback([this] { try_send(); });
 }
 
 GbnSender::~GbnSender() { sim_.cancel(timeout_timer_); }
-
-void GbnSender::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "hdlc.gbn.sender", std::move(what));
-}
 
 void GbnSender::submit(sim::Packet p) {
   if (stats_) ++stats_->packets_submitted;
@@ -106,10 +100,7 @@ void GbnSender::release_below(std::uint64_t ctr) {
 }
 
 void GbnSender::go_back_to(std::uint64_t ctr) {
-  if (ctr < resend_cursor_) {
-    trace("go-back to ctr=" + std::to_string(ctr));
-    resend_cursor_ = ctr;
-  }
+  if (ctr < resend_cursor_) resend_cursor_ = ctr;
 }
 
 void GbnSender::on_frame(frame::Frame f) {
@@ -146,7 +137,6 @@ void GbnSender::on_timeout() {
   timeout_timer_ = 0;
   if (window_.empty()) return;
   ++timeouts_;
-  trace("t_out expired: going back to base");
   resend_cursor_ = base_ctr_;
   arm_timeout();
   try_send();
@@ -156,18 +146,13 @@ void GbnSender::on_timeout() {
 
 GbnReceiver::GbnReceiver(Simulator& sim, link::SimplexChannel& control_out,
                          HdlcConfig cfg, sim::PacketListener* listener,
-                         sim::DlcStats* stats, Tracer tracer)
+                         sim::DlcStats* stats)
     : sim_{sim},
       out_{control_out},
       cfg_{cfg},
       listener_{listener},
       stats_{stats},
-      tracer_{std::move(tracer)},
       seqspace_{cfg.modulus} {}
-
-void GbnReceiver::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "hdlc.gbn.receiver", std::move(what));
-}
 
 void GbnReceiver::on_frame(frame::Frame f) {
   const auto* in = std::get_if<frame::HdlcIFrame>(&f.body);
@@ -208,7 +193,6 @@ void GbnReceiver::on_frame(frame::Frame f) {
       rej_outstanding_ = true;
       resp.body = frame::HdlcSFrame{frame::HdlcSFrame::Type::REJ,
                                     seqspace_.wrap(vr_), false, {}};
-      if (tracer_.enabled()) trace("REJ nr=" + std::to_string(vr_));
     } else {
       return;  // already rejected this gap
     }

@@ -1,7 +1,6 @@
 #include "lamsdlc/hdlc/sr.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,21 +9,16 @@ namespace lamsdlc::hdlc {
 // ---------------------------------------------------------------- sender --
 
 SrSender::SrSender(Simulator& sim, link::SimplexChannel& data_out,
-                   HdlcConfig cfg, sim::DlcStats* stats, Tracer tracer)
+                   HdlcConfig cfg, sim::DlcStats* stats)
     : sim_{sim},
       out_{data_out},
       cfg_{cfg},
       stats_{stats},
-      tracer_{std::move(tracer)},
       seqspace_{cfg.modulus} {
   out_.set_idle_callback([this] { try_send(); });
 }
 
 SrSender::~SrSender() { sim_.cancel(timeout_timer_); }
-
-void SrSender::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "hdlc.sr.sender", std::move(what));
-}
 
 void SrSender::submit(sim::Packet p) {
   if (stats_) ++stats_->packets_submitted;
@@ -129,17 +123,12 @@ void SrSender::send_iframe(std::uint64_t ctr, bool poll) {
     ++stats_->iframe_tx;
     if (p.attempts > 1) ++stats_->iframe_retx;
   }
-  if (tracer_.enabled()) {
-    trace("I-frame ctr=" + std::to_string(ctr) +
-          " attempt=" + std::to_string(p.attempts) + (poll ? " [P]" : ""));
-  }
   out_.send(std::move(f));
 }
 
 void SrSender::on_frame(frame::Frame f) {
   if (f.corrupted) {
     if (stats_) ++stats_->control_corrupted_rx;
-    trace("corrupted response discarded");
     return;
   }
   const auto* s = std::get_if<frame::HdlcSFrame>(&f.body);
@@ -185,7 +174,6 @@ std::uint64_t SrSender::ack_counter(frame::Seq nr) const {
 
 void SrSender::handle_rr(const frame::HdlcSFrame& s) {
   const std::uint64_t nr = ack_counter(s.nr);
-  if (tracer_.enabled()) trace("RR nr=" + std::to_string(nr));
   sim_.cancel(timeout_timer_);
   timeout_timer_ = 0;
   release_below(nr);
@@ -206,7 +194,6 @@ void SrSender::handle_srej(const frame::HdlcSFrame& s) {
   const std::uint64_t nr = ack_counter(s.nr);
   sim_.cancel(timeout_timer_);
   timeout_timer_ = 0;
-  std::size_t queued = 0;
   auto reject = [&](frame::Seq wire) {
     // Rejected frames lie in [base, base+W).
     const std::uint32_t d = seqspace_.forward(seqspace_.wrap(base_ctr_), wire);
@@ -218,7 +205,6 @@ void SrSender::handle_srej(const frame::HdlcSFrame& s) {
       return;
     }
     retx_queue_.emplace_back(ctr);
-    ++queued;
   };
   if (s.srej_list.empty()) {
     reject(s.nr);  // single-SREJ form
@@ -226,9 +212,6 @@ void SrSender::handle_srej(const frame::HdlcSFrame& s) {
     for (const frame::Seq wire : s.srej_list) reject(wire);
   }
   release_below(nr);
-  if (tracer_.enabled()) {
-    trace("SREJ nr=" + std::to_string(nr) + " rejected=" + std::to_string(queued));
-  }
   if (retx_queue_.empty() && !window_.empty()) {
     // Everything listed was already acknowledged; poll again via timeout
     // path to avoid deadlock.
@@ -246,7 +229,6 @@ void SrSender::on_timeout() {
   timeout_timer_ = 0;
   if (window_.empty()) return;
   ++timeouts_;
-  trace("t_out expired: retransmitting window remainder");
   // Timeout recovery (retransmission period): resend every unacknowledged
   // frame, P on the last.
   retx_queue_.clear();
@@ -258,18 +240,13 @@ void SrSender::on_timeout() {
 
 SrReceiver::SrReceiver(Simulator& sim, link::SimplexChannel& control_out,
                        HdlcConfig cfg, sim::PacketListener* listener,
-                       sim::DlcStats* stats, Tracer tracer)
+                       sim::DlcStats* stats)
     : sim_{sim},
       out_{control_out},
       cfg_{cfg},
       listener_{listener},
       stats_{stats},
-      tracer_{std::move(tracer)},
       seqspace_{cfg.modulus} {}
-
-void SrReceiver::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "hdlc.sr.receiver", std::move(what));
-}
 
 void SrReceiver::on_frame(frame::Frame f) {
   const auto* in = std::get_if<frame::HdlcIFrame>(&f.body);
@@ -341,7 +318,6 @@ void SrReceiver::respond() {
     // head arrives via timeout recovery.
     f.body = frame::HdlcSFrame{frame::HdlcSFrame::Type::RNR,
                                seqspace_.wrap(vr_), true, {}};
-    if (tracer_.enabled()) trace("RNR nr=" + std::to_string(vr_));
     if (stats_) ++stats_->control_tx;
     out_.send(std::move(f));
     return;
@@ -349,15 +325,10 @@ void SrReceiver::respond() {
   if (vr_ == highest_plus1_) {
     f.body = frame::HdlcSFrame{frame::HdlcSFrame::Type::RR, seqspace_.wrap(vr_),
                                true, {}};
-    if (tracer_.enabled()) trace("RR nr=" + std::to_string(vr_));
   } else {
     std::vector<frame::Seq> missing;
     for (std::uint64_t c = vr_; c < highest_plus1_; ++c) {
       if (!held_.contains(c)) missing.push_back(seqspace_.wrap(c));
-    }
-    if (tracer_.enabled()) {
-      trace("SREJ nr=" + std::to_string(vr_) +
-            " missing=" + std::to_string(missing.size()));
     }
     f.body = frame::HdlcSFrame{frame::HdlcSFrame::Type::SREJ,
                                seqspace_.wrap(vr_), true, std::move(missing)};

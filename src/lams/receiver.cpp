@@ -1,21 +1,19 @@
 #include "lamsdlc/lams/receiver.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 namespace lamsdlc::lams {
 
 LamsReceiver::LamsReceiver(Simulator& sim, link::FrameChannel& control_out,
                            LamsConfig cfg, sim::PacketListener* listener,
-                           sim::DlcStats* stats, Tracer tracer,
-                           obs::EventBus* bus)
+                           sim::DlcStats* stats, obs::EventBus* bus)
     : sim_{sim},
       out_{control_out},
       cfg_{cfg},
       listener_{listener},
       stats_{stats},
-      obs_{bus, std::move(tracer)},
+      obs_{bus},
       seqspace_{cfg.modulus} {}
 
 LamsReceiver::~LamsReceiver() {

@@ -1,7 +1,6 @@
 #include "lamsdlc/lams/sender.hpp"
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 namespace lamsdlc::lams {
@@ -21,13 +20,13 @@ obs::SenderMode to_obs(LamsSender::Mode m) noexcept {
 }  // namespace
 
 LamsSender::LamsSender(Simulator& sim, link::FrameChannel& data_out,
-                       LamsConfig cfg, sim::DlcStats* stats, Tracer tracer,
+                       LamsConfig cfg, sim::DlcStats* stats,
                        obs::EventBus* bus)
     : sim_{sim},
       out_{data_out},
       cfg_{cfg},
       stats_{stats},
-      obs_{bus, std::move(tracer)},
+      obs_{bus},
       seqspace_{cfg.modulus} {
   out_.set_idle_callback([this] { try_send(); });
   if (!cfg_.self_audit_period.is_zero()) {

@@ -1,43 +1,19 @@
 #include "lamsdlc/lams/session.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 namespace lamsdlc::lams {
-
-namespace {
-const char* state_name(SessionSender::State s) {
-  switch (s) {
-    case SessionSender::State::kIdle:
-      return "idle";
-    case SessionSender::State::kInitializing:
-      return "initializing";
-    case SessionSender::State::kEstablished:
-      return "established";
-    case SessionSender::State::kDraining:
-      return "draining";
-    case SessionSender::State::kClosing:
-      return "closing";
-    case SessionSender::State::kClosed:
-      return "closed";
-    case SessionSender::State::kFailed:
-      return "failed";
-  }
-  return "?";
-}
-}  // namespace
 
 // --------------------------------------------------------- SessionSender --
 
 SessionSender::SessionSender(Simulator& sim, link::FrameChannel& data_out,
                              SessionConfig cfg, sim::DlcStats* stats,
-                             Tracer tracer, obs::EventBus* bus)
+                             obs::EventBus* bus)
     : sim_{sim},
       out_{data_out},
       cfg_{cfg},
-      tracer_{tracer},
-      inner_{sim, data_out, cfg.lams, stats, std::move(tracer), bus} {
+      inner_{sim, data_out, cfg.lams, stats, bus} {
   inner_.set_failure_callback([this] { on_inner_failed(); });
   // Checkpoint releases shrink the inner buffer: each change is a potential
   // accepting() rising edge for a producer paused on backpressure.
@@ -50,13 +26,8 @@ SessionSender::~SessionSender() {
   sim_.cancel(drain_timer_);
 }
 
-void SessionSender::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "lams.session.tx", std::move(what));
-}
-
 void SessionSender::enter(State s) {
   state_ = s;
-  if (tracer_.enabled()) trace(std::string("state -> ") + state_name(s));
   if (on_state_) on_state_(s);
   note_accepting();  // state gates accepting(); this may be a rising edge
 }
@@ -96,7 +67,6 @@ void SessionSender::on_handshake_timer() {
   handshake_timer_ = 0;
   if (state_ != State::kInitializing && state_ != State::kClosing) return;
   if (++retries_ > cfg_.max_handshake_retries) {
-    trace("handshake retries exhausted");
     enter(State::kFailed);
     return;
   }
@@ -205,7 +175,6 @@ void SessionSender::check_drained() {
 }
 
 void SessionSender::on_inner_failed() {
-  trace("inner sender declared link failure");
   if (cfg_.auto_resync && resyncs_ < cfg_.max_resyncs) {
     ++resyncs_;
     try_resync();
@@ -218,7 +187,6 @@ void SessionSender::try_resync() {
   // Requeue everything unresolved under a fresh epoch and re-run INIT.
   inner_.reset_session();
   state_ = State::kIdle;
-  trace("resynchronizing (attempt " + std::to_string(resyncs_) + ")");
   open();
 }
 
@@ -228,17 +196,9 @@ SessionReceiver::SessionReceiver(Simulator& sim,
                                  link::FrameChannel& control_out,
                                  SessionConfig cfg,
                                  sim::PacketListener* listener,
-                                 sim::DlcStats* stats, Tracer tracer,
-                                 obs::EventBus* bus)
-    : sim_{sim},
-      out_{control_out},
-      tracer_{tracer},
-      inner_{sim, control_out, cfg.lams, listener, stats, std::move(tracer),
-             bus} {}
-
-void SessionReceiver::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "lams.session.rx", std::move(what));
-}
+                                 sim::DlcStats* stats, obs::EventBus* bus)
+    : out_{control_out},
+      inner_{sim, control_out, cfg.lams, listener, stats, bus} {}
 
 void SessionReceiver::reply(frame::SessionFrame::Kind kind,
                             std::uint32_t epoch) {
@@ -260,7 +220,6 @@ void SessionReceiver::on_frame(frame::Frame f) {
             inner_.reset_session();
             inner_.set_epoch(epoch_);
             inner_.start();
-            trace("session epoch " + std::to_string(epoch_) + " initialized");
             if (on_lifecycle_) on_lifecycle_(true, epoch_);
           }
           // Always (re-)acknowledge the current epoch: a duplicate INIT
@@ -273,7 +232,6 @@ void SessionReceiver::on_frame(frame::Frame f) {
           if (s->epoch == epoch_ && in_session_) {
             in_session_ = false;
             inner_.stop();
-            trace("session epoch " + std::to_string(epoch_) + " closed");
             if (on_lifecycle_) on_lifecycle_(false, epoch_);
           }
           reply(frame::SessionFrame::Kind::kCloseAck, s->epoch);

@@ -8,20 +8,15 @@ namespace lamsdlc::nbdt {
 // ---------------------------------------------------------------- sender --
 
 NbdtSender::NbdtSender(Simulator& sim, link::SimplexChannel& data_out,
-                       NbdtConfig cfg, sim::DlcStats* stats, Tracer tracer)
+                       NbdtConfig cfg, sim::DlcStats* stats)
     : sim_{sim},
       out_{data_out},
       cfg_{cfg},
-      stats_{stats},
-      tracer_{std::move(tracer)} {
+      stats_{stats} {
   out_.set_idle_callback([this] { try_send(); });
 }
 
 NbdtSender::~NbdtSender() { sim_.cancel(tail_timer_); }
-
-void NbdtSender::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "nbdt.sender", std::move(what));
-}
 
 void NbdtSender::submit(sim::Packet p) {
   if (stats_) ++stats_->packets_submitted;
@@ -168,19 +163,14 @@ void NbdtSender::on_frame(frame::Frame f) {
 
 NbdtReceiver::NbdtReceiver(Simulator& sim, link::SimplexChannel& control_out,
                            NbdtConfig cfg, sim::PacketListener* listener,
-                           sim::DlcStats* stats, Tracer tracer)
+                           sim::DlcStats* stats)
     : sim_{sim},
       out_{control_out},
       cfg_{cfg},
       listener_{listener},
-      stats_{stats},
-      tracer_{std::move(tracer)} {}
+      stats_{stats} {}
 
 NbdtReceiver::~NbdtReceiver() { sim_.cancel(status_timer_); }
-
-void NbdtReceiver::trace(std::string what) const {
-  tracer_.emit(sim_.now(), "nbdt.receiver", std::move(what));
-}
 
 void NbdtReceiver::start() {
   if (running_) return;

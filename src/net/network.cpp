@@ -194,7 +194,7 @@ struct Network::PdesState {
 
 Flow::Flow(Simulator& tx_sim, Simulator& rx_sim, Network& net, LinkId link,
            NodeId from, NodeId to, link::SimplexChannel& data,
-           link::SimplexChannel& control, const LinkSpec& spec, Tracer tracer)
+           link::SimplexChannel& control, const LinkSpec& spec)
     : link_{link}, from_{from}, to_{to} {
   // Two-kernel flows split the stats so the receiver partition never writes
   // into the sender partition's block mid-window.
@@ -202,12 +202,11 @@ Flow::Flow(Simulator& tx_sim, Simulator& rx_sim, Network& net, LinkId link,
   switch (spec.protocol) {
     case sim::Protocol::kLams:
       lams_tx_ = std::make_unique<lams::LamsSender>(
-          tx_sim, data, spec.lams, &stats_, tracer,
+          tx_sim, data, spec.lams, &stats_,
           spec.bus_for ? spec.bus_for(from, to, /*sender_side=*/true)
                        : nullptr);
       lams_rx_ = std::make_unique<lams::LamsReceiver>(
           rx_sim, control, spec.lams, &net.node(to), rx_stats,
-          std::move(tracer),
           spec.bus_for ? spec.bus_for(from, to, /*sender_side=*/false)
                        : nullptr);
       lams_rx_->start();
@@ -217,20 +216,18 @@ Flow::Flow(Simulator& tx_sim, Simulator& rx_sim, Network& net, LinkId link,
       break;
     case sim::Protocol::kSrHdlc:
       sr_tx_ = std::make_unique<hdlc::SrSender>(tx_sim, data, spec.hdlc,
-                                                &stats_, tracer);
+                                                &stats_);
       sr_rx_ = std::make_unique<hdlc::SrReceiver>(rx_sim, control, spec.hdlc,
-                                                  &net.node(to), rx_stats,
-                                                  std::move(tracer));
+                                                  &net.node(to), rx_stats);
       dlc_sender_ = sr_tx_.get();
       receiver_sink_ = sr_rx_.get();
       sender_sink_ = sr_tx_.get();
       break;
     case sim::Protocol::kGbnHdlc:
       gbn_tx_ = std::make_unique<hdlc::GbnSender>(tx_sim, data, spec.hdlc,
-                                                  &stats_, tracer);
+                                                  &stats_);
       gbn_rx_ = std::make_unique<hdlc::GbnReceiver>(rx_sim, control, spec.hdlc,
-                                                    &net.node(to), rx_stats,
-                                                    std::move(tracer));
+                                                    &net.node(to), rx_stats);
       dlc_sender_ = gbn_tx_.get();
       receiver_sink_ = gbn_rx_.get();
       sender_sink_ = gbn_tx_.get();
@@ -259,8 +256,8 @@ void Node::on_packet(const sim::Packet& p, Time at) {
 
 // --------------------------------------------------------------- Network --
 
-Network::Network(Simulator& sim, std::uint64_t seed, Tracer tracer)
-    : sim_{sim}, seed_{seed}, tracer_{std::move(tracer)}, tracker_{sim} {}
+Network::Network(Simulator& sim, std::uint64_t seed)
+    : sim_{sim}, seed_{seed}, tracker_{sim} {}
 
 Network::~Network() {
   // Flows and ingresses cancel timers on their partition kernels as they
@@ -279,11 +276,6 @@ void Network::enable_pdes(std::size_t partitions, std::size_t nodes_hint) {
   }
   if (partitions == 0) {
     throw std::invalid_argument("Network::enable_pdes: zero partitions");
-  }
-  if (tracer_.enabled()) {
-    throw std::logic_error(
-        "Network::enable_pdes: the text tracer is a global sequential log "
-        "and cannot be produced by partitioned execution");
   }
   pdes_ = std::make_unique<PdesState>();
   pdes_->partitions = partitions;
@@ -435,11 +427,11 @@ void Network::build_flows(LinkState& ls, LinkId id) {
   // Flow a→b: data on the forward channel, acknowledgements on reverse.
   ls.ab = std::make_unique<Flow>(sim_for(spec.a), sim_for(spec.b), *this, id,
                                  spec.a, spec.b, ls.duplex->forward(),
-                                 ls.duplex->reverse(), spec, tracer_);
+                                 ls.duplex->reverse(), spec);
   // Flow b→a: data on the reverse channel, acknowledgements on forward.
   ls.ba = std::make_unique<Flow>(sim_for(spec.b), sim_for(spec.a), *this, id,
                                  spec.b, spec.a, ls.duplex->reverse(),
-                                 ls.duplex->forward(), spec, tracer_);
+                                 ls.duplex->forward(), spec);
 
   // Arrivals at b (forward channel): a→b data plus b→a acknowledgements.
   ls.sink_at_b = std::make_unique<DemuxSink>(&ls.ab->receiver_sink(),
@@ -624,10 +616,6 @@ void Network::forward(Node& at, const sim::Packet& p, NodeId dst) {
     // offers a route again (a future contact, a restored link).
     at.parked_[dst].push_back(p);
     ++at.parked_count_;
-    if (tracer_.enabled()) {
-      tracer_.emit(sim_.now(), "net." + at.name(),
-                   "no route to node " + std::to_string(dst) + "; parked");
-    }
     return;
   }
   flow->dlc().submit(p);
@@ -666,12 +654,6 @@ void Network::on_flow_failed(Flow& flow) {
   auto residue = flow.lams_sender() != nullptr
                      ? flow.lams_sender()->take_unresolved()
                      : std::vector<sim::Packet>{};
-  if (tracer_.enabled()) {
-    tracer_.emit(sim_.now(), "net",
-                 "flow " + std::to_string(flow.from()) + "->" +
-                     std::to_string(flow.to()) + " failed; rerouting " +
-                     std::to_string(residue.size()) + " packets");
-  }
   Node& origin = node(flow.from());
   for (const sim::Packet& p : residue) {
     const PacketHeader* h = header(p.id);

@@ -1,6 +1,7 @@
 #include "lamsdlc/obs/expose.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <iomanip>
 #include <sstream>
 
@@ -77,23 +78,25 @@ void write_prometheus(std::ostream& os, const Registry& reg,
 }
 
 std::string json_escape(std::string_view s) {
-  std::ostringstream os;
+  std::string out;
+  out.reserve(s.size());
   for (const char c : s) {
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec << std::setfill(' ');
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
         } else {
-          os << c;
+          out += c;
         }
     }
   }
-  return os.str();
+  return out;
 }
 
 }  // namespace lamsdlc::obs

@@ -3,30 +3,10 @@
 #include <iomanip>
 #include <sstream>
 
+#include "lamsdlc/obs/expose.hpp"
+
 namespace lamsdlc::obs {
 namespace {
-
-/// Metric names are identifier-ish by convention, but escape anyway so the
-/// exporters can never emit invalid JSON.
-void json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void json_number(std::ostream& os, double v) {
   if (std::isnan(v) || std::isinf(v)) {
@@ -46,7 +26,7 @@ void Registry::write_json(std::ostream& os) const {
   for (const auto& [name, c] : counters_) {
     if (!first) os << ',';
     first = false;
-    json_string(os, name);
+    os << '"' << json_escape(name) << '"';
     os << ':' << c.value();
   }
   os << "},\"gauges\":{";
@@ -54,7 +34,7 @@ void Registry::write_json(std::ostream& os) const {
   for (const auto& [name, g] : gauges_) {
     if (!first) os << ',';
     first = false;
-    json_string(os, name);
+    os << '"' << json_escape(name) << '"';
     os << ':';
     json_number(os, g.value());
   }
@@ -63,7 +43,7 @@ void Registry::write_json(std::ostream& os) const {
   for (const auto& [name, h] : histograms_) {
     if (!first) os << ',';
     first = false;
-    json_string(os, name);
+    os << '"' << json_escape(name) << '"';
     os << ":{\"count\":" << h.count() << ",\"min\":";
     json_number(os, h.min());
     os << ",\"mean\":";

@@ -2,7 +2,8 @@
 
 #include <cstdio>
 #include <string>
-#include <string_view>
+
+#include "lamsdlc/obs/expose.hpp"
 
 namespace lamsdlc::obs {
 namespace {
@@ -11,36 +12,12 @@ constexpr int kPid = 1;
 constexpr int kSenderTid = static_cast<int>(Source::kLamsSender) + 1;
 constexpr int kReceiverTid = static_cast<int>(Source::kLamsReceiver) + 1;
 
-int tid_of(Source s) { return static_cast<int>(s) + 1; }
-
 /// Trace-event timestamps are microseconds; emit the picosecond remainder as
 /// fractional digits so nothing quantizes away.
 std::string ts_us(Time t) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.6f", t.us());
   return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Emits one trace-event object per call, handling the comma discipline.

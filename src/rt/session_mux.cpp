@@ -23,7 +23,7 @@ struct SessionMux::TxSession {
   TxSession(EventLoop& loop, Transport& t, const NetChannel::Config& ccfg,
             const lams::SessionConfig& scfg, obs::EventBus* bus)
       : channel{loop, t, ccfg},
-        sender{loop.sim(), channel, scfg, &stats, {}, bus},
+        sender{loop.sim(), channel, scfg, &stats, bus},
         peer{ccfg.peer} {}
 };
 
@@ -46,7 +46,7 @@ struct SessionMux::RxSession final : sim::PacketListener {
         peer{ccfg.peer},
         sid{ccfg.session_id},
         channel{loop, t, ccfg},
-        receiver{loop.sim(), channel, scfg, this, &stats, {}, bus} {
+        receiver{loop.sim(), channel, scfg, this, &stats, bus} {
     receiver.set_lifecycle_callback(
         [this](bool in_session, std::uint32_t) { mux.end_rx(*this, in_session); });
   }

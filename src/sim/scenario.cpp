@@ -85,12 +85,10 @@ Scenario::Scenario(ScenarioConfig cfg)
   switch (cfg_.protocol) {
     case Protocol::kLams:
       lams_tx_ = std::make_unique<lams::LamsSender>(sim_, link_->forward(),
-                                                    cfg_.lams, &stats_,
-                                                    cfg_.tracer, &bus_);
+                                                    cfg_.lams, &stats_, &bus_);
       lams_rx_ = std::make_unique<lams::LamsReceiver>(sim_, link_->reverse(),
                                                       cfg_.lams, &tracker_,
-                                                      &stats_, cfg_.tracer,
-                                                      &bus_);
+                                                      &stats_, &bus_);
       link_->reverse().set_sink(lams_tx_.get());
       link_->forward().set_sink(lams_rx_.get());
       lams_rx_->start();
@@ -98,29 +96,27 @@ Scenario::Scenario(ScenarioConfig cfg)
       break;
     case Protocol::kSrHdlc:
       sr_tx_ = std::make_unique<hdlc::SrSender>(sim_, link_->forward(),
-                                                cfg_.hdlc, &stats_, cfg_.tracer);
+                                                cfg_.hdlc, &stats_);
       sr_rx_ = std::make_unique<hdlc::SrReceiver>(
-          sim_, link_->reverse(), cfg_.hdlc, &tracker_, &stats_, cfg_.tracer);
+          sim_, link_->reverse(), cfg_.hdlc, &tracker_, &stats_);
       link_->reverse().set_sink(sr_tx_.get());
       link_->forward().set_sink(sr_rx_.get());
       sender_ = sr_tx_.get();
       break;
     case Protocol::kGbnHdlc:
       gbn_tx_ = std::make_unique<hdlc::GbnSender>(sim_, link_->forward(),
-                                                  cfg_.hdlc, &stats_,
-                                                  cfg_.tracer);
+                                                  cfg_.hdlc, &stats_);
       gbn_rx_ = std::make_unique<hdlc::GbnReceiver>(
-          sim_, link_->reverse(), cfg_.hdlc, &tracker_, &stats_, cfg_.tracer);
+          sim_, link_->reverse(), cfg_.hdlc, &tracker_, &stats_);
       link_->reverse().set_sink(gbn_tx_.get());
       link_->forward().set_sink(gbn_rx_.get());
       sender_ = gbn_tx_.get();
       break;
     case Protocol::kNbdt:
       nbdt_tx_ = std::make_unique<nbdt::NbdtSender>(sim_, link_->forward(),
-                                                    cfg_.nbdt, &stats_,
-                                                    cfg_.tracer);
+                                                    cfg_.nbdt, &stats_);
       nbdt_rx_ = std::make_unique<nbdt::NbdtReceiver>(
-          sim_, link_->reverse(), cfg_.nbdt, &tracker_, &stats_, cfg_.tracer);
+          sim_, link_->reverse(), cfg_.nbdt, &tracker_, &stats_);
       link_->reverse().set_sink(nbdt_tx_.get());
       link_->forward().set_sink(nbdt_rx_.get());
       nbdt_rx_->start();

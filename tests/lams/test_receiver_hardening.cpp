@@ -60,7 +60,7 @@ struct ReceiverRig {
                 std::make_unique<phy::PerfectChannel>()},
         rx{sim, channel,
            cfg_override.modulus != 0 ? cfg_override : tiny_config(modulus),
-           &listener, &stats, {}, &bus} {
+           &listener, &stats, &bus} {
     channel.set_sink(&capture);
     rx.start();
   }

@@ -114,22 +114,12 @@ TEST(EventBus, UnsubscribeStopsDeliveryAndUnknownIdIsNoop) {
   EXPECT_EQ(seen[0].p.frame.ctr, 1u);
 }
 
-TEST(EventBus, TracerBridgeRendersDescribe) {
-  EventBus bus;
-  std::vector<TraceEvent> lines;
-  attach_tracer(bus, Tracer{[&lines](const TraceEvent& t) { lines.push_back(t); }});
-  bus.emit(frame_event(EventKind::kFrameSent, 17));
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0].source, std::string{"lams.sender"});
-  EXPECT_NE(lines[0].what.find("17"), std::string::npos);
-}
-
 TEST(Emitter, InactiveWithoutBusOrTracer) {
   Emitter none;
   EXPECT_FALSE(none.active());
 
   EventBus bus;
-  Emitter with_bus{&bus, Tracer{}};
+  Emitter with_bus{&bus};
   EXPECT_FALSE(with_bus.active());  // bus exists but has no subscriber
   std::vector<Event> seen;
   bus.subscribe(EventBus::record_into(seen));

@@ -275,17 +275,19 @@ void print_help() {
   std::exit(2);
 }
 
+/// The value of the flag at argv[i], advancing \p i past it.
+const char* need(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
+  return argv[++i];
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   double pf = 0, pc = 0, ber = -1, burst_ms = -1;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--protocol") {
-      const std::string v = need(i);
+      const std::string v = need(argc, argv, i);
       if (v == "lams") {
         o.cfg.protocol = sim::Protocol::kLams;
       } else if (v == "sr") {
@@ -298,36 +300,40 @@ Options parse(int argc, char** argv) {
         usage_error("unknown protocol " + v);
       }
     } else if (a == "--rate") {
-      o.cfg.data_rate_bps = std::atof(need(i));
+      o.cfg.data_rate_bps = std::atof(need(argc, argv, i));
     } else if (a == "--delay-ms") {
-      o.cfg.prop_delay = Time::seconds(std::atof(need(i)) * 1e-3);
+      o.cfg.prop_delay = Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
     } else if (a == "--frame-bytes") {
-      o.cfg.frame_bytes = static_cast<std::uint32_t>(std::atoi(need(i)));
+      o.cfg.frame_bytes =
+          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
     } else if (a == "--frames") {
-      o.frames = static_cast<std::uint64_t>(std::atoll(need(i)));
+      o.frames = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
     } else if (a == "--pf") {
-      pf = std::atof(need(i));
+      pf = std::atof(need(argc, argv, i));
     } else if (a == "--pc") {
-      pc = std::atof(need(i));
+      pc = std::atof(need(argc, argv, i));
     } else if (a == "--ber") {
-      ber = std::atof(need(i));
+      ber = std::atof(need(argc, argv, i));
     } else if (a == "--burst-ms") {
-      burst_ms = std::atof(need(i));
+      burst_ms = std::atof(need(argc, argv, i));
     } else if (a == "--icp-ms") {
-      o.cfg.lams.checkpoint_interval = Time::seconds(std::atof(need(i)) * 1e-3);
+      o.cfg.lams.checkpoint_interval =
+          Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
     } else if (a == "--cdepth") {
-      o.cfg.lams.cumulation_depth = static_cast<std::uint32_t>(std::atoi(need(i)));
+      o.cfg.lams.cumulation_depth =
+          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
     } else if (a == "--window") {
-      o.cfg.hdlc.window = static_cast<std::uint32_t>(std::atoi(need(i)));
+      o.cfg.hdlc.window =
+          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
       o.cfg.hdlc.modulus = 4 * o.cfg.hdlc.window;
     } else if (a == "--timeout-ms") {
-      o.cfg.hdlc.timeout = Time::seconds(std::atof(need(i)) * 1e-3);
+      o.cfg.hdlc.timeout = Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
     } else if (a == "--seed") {
-      o.cfg.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+      o.cfg.seed = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
     } else if (a == "--byte-level") {
       o.cfg.byte_level_wire = true;
     } else if (a == "--horizon-s") {
-      o.horizon_s = std::atof(need(i));
+      o.horizon_s = std::atof(need(argc, argv, i));
     } else if (a == "--csv") {
       o.csv = true;
     } else if (a == "--csv-header") {
@@ -377,10 +383,6 @@ const char* protocol_name(sim::Protocol p) {
 /// Parse one chaos-style flag at argv[i]; shared between `chaos` and
 /// `capture`.  Returns false when the flag is not a chaos knob.
 bool parse_chaos_flag(int argc, char** argv, int& i, sim::ChaosKnobs& knobs) {
-  auto need = [&](int& j) -> const char* {
-    if (j + 1 >= argc) usage_error(std::string("missing value for ") + argv[j]);
-    return argv[++j];
-  };
   const std::string a = argv[i];
   if (a == "--help" || a == "-h") {
     std::printf("flags for this subcommand: see the header of "
@@ -388,9 +390,9 @@ bool parse_chaos_flag(int argc, char** argv, int& i, sim::ChaosKnobs& knobs) {
     std::exit(0);
   }
   if (a == "--seed") {
-    knobs.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+    knobs.seed = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
   } else if (a == "--packets") {
-    knobs.packets = static_cast<std::uint64_t>(std::atoll(need(i)));
+    knobs.packets = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
   } else if (a == "--reverse-only") {
     knobs.allow_forward_faults = false;
   } else if (a == "--forward-only") {
@@ -400,11 +402,13 @@ bool parse_chaos_flag(int argc, char** argv, int& i, sim::ChaosKnobs& knobs) {
   } else if (a == "--no-suppress-duplicates") {
     knobs.suppress_duplicates = false;
   } else if (a == "--reverse-noise") {
-    knobs.reverse_noise = std::atof(need(i));
+    knobs.reverse_noise = std::atof(need(argc, argv, i));
   } else if (a == "--reverse-outage-from-ms") {
-    knobs.reverse_outage_from = Time::seconds(std::atof(need(i)) * 1e-3);
+    knobs.reverse_outage_from =
+        Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
   } else if (a == "--reverse-outage-ms") {
-    knobs.reverse_outage_len = Time::seconds(std::atof(need(i)) * 1e-3);
+    knobs.reverse_outage_len =
+        Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
   } else if (a == "--self-heal") {
     knobs.self_heal = true;
   } else {
@@ -417,17 +421,14 @@ int run_chaos_command(int argc, char** argv) {
   sim::ChaosKnobs knobs;
   std::uint64_t seeds = 1;
   unsigned jobs = 1;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (parse_chaos_flag(argc, argv, i, knobs)) continue;
     if (a == "--seeds") {
-      seeds = static_cast<std::uint64_t>(std::atoll(need(i)));
+      seeds = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
     } else if (a == "--jobs") {
-      jobs = static_cast<unsigned>(std::atoi(need(i)));  // 0 = all cores
+      // 0 = all cores
+      jobs = static_cast<unsigned>(std::atoi(need(argc, argv, i)));
     } else {
       usage_error("unknown chaos flag " + a);
     }
@@ -477,10 +478,6 @@ int run_corrupt_state_command(int argc, char** argv) {
   std::uint64_t seeds = 1;
   unsigned jobs = 1;
   bool repro = false;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--corrupt-state") continue;
@@ -490,15 +487,18 @@ int run_corrupt_state_command(int argc, char** argv) {
       return 0;
     }
     if (a == "--seed") {
-      knobs.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+      knobs.seed = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
     } else if (a == "--seeds") {
-      seeds = static_cast<std::uint64_t>(std::atoll(need(i)));
+      seeds = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
     } else if (a == "--jobs") {
-      jobs = static_cast<unsigned>(std::atoi(need(i)));  // 0 = all cores
+      // 0 = all cores
+      jobs = static_cast<unsigned>(std::atoi(need(argc, argv, i)));
     } else if (a == "--packets") {
-      knobs.packets = static_cast<std::uint64_t>(std::atoll(need(i)));
+      knobs.packets =
+          static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
     } else if (a == "--injections") {
-      knobs.injections = static_cast<std::uint32_t>(std::atoi(need(i)));
+      knobs.injections =
+          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
     } else if (a == "--no-sender") {
       knobs.allow_sender = false;
     } else if (a == "--no-receiver") {
@@ -510,7 +510,7 @@ int run_corrupt_state_command(int argc, char** argv) {
     } else if (a == "--no-self-heal") {
       knobs.self_heal = false;
     } else if (a == "--fault-scale") {
-      knobs.scale = std::atof(need(i));
+      knobs.scale = std::atof(need(argc, argv, i));
     } else if (a == "--repro") {
       repro = true;
     } else {
@@ -559,10 +559,6 @@ int run_verify_command(int argc, char** argv) {
   unsigned jobs = 1;
   std::uint64_t fuzz_iters = 10000;
   bool repro = false;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--help" || a == "-h") {
@@ -571,21 +567,25 @@ int run_verify_command(int argc, char** argv) {
       return 0;
     }
     if (a == "--seed") {
-      knobs.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+      knobs.seed = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
     } else if (a == "--seeds") {
-      seeds = static_cast<std::uint64_t>(std::atoll(need(i)));
+      seeds = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
     } else if (a == "--jobs") {
-      jobs = static_cast<unsigned>(std::atoi(need(i)));  // 0 = all cores
+      // 0 = all cores
+      jobs = static_cast<unsigned>(std::atoi(need(argc, argv, i)));
     } else if (a == "--fuzz") {
-      fuzz_iters = static_cast<std::uint64_t>(std::atoll(need(i)));
+      fuzz_iters = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
     } else if (a == "--modulus") {
-      knobs.modulus = static_cast<std::uint32_t>(std::atoi(need(i)));
+      knobs.modulus =
+          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
     } else if (a == "--cdepth") {
-      knobs.c_depth = static_cast<std::uint32_t>(std::atoi(need(i)));
+      knobs.c_depth =
+          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
     } else if (a == "--packets") {
-      knobs.packets = static_cast<std::uint64_t>(std::atoll(need(i)));
+      knobs.packets =
+          static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
     } else if (a == "--fault-scale") {
-      knobs.fault_scale = std::atof(need(i));
+      knobs.fault_scale = std::atof(need(argc, argv, i));
     } else if (a == "--no-faults") {
       knobs.faults = false;
     } else if (a == "--no-congestion") {
@@ -659,17 +659,14 @@ int run_verify_command(int argc, char** argv) {
 int run_capture_command(int argc, char** argv) {
   sim::ChaosKnobs knobs;
   std::string out;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (parse_chaos_flag(argc, argv, i, knobs)) continue;
     if (a == "--out") {
-      out = need(i);
+      out = need(argc, argv, i);
     } else if (a == "--sample-ms") {
-      knobs.sample_period = Time::seconds(std::atof(need(i)) * 1e-3);
+      knobs.sample_period =
+          Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
     } else {
       usage_error("unknown capture flag " + a);
     }
@@ -849,10 +846,6 @@ int run_inspect_command(int argc, char** argv) {
   std::optional<obs::Source> source;
   double from_ms = -1, to_ms = -1, bucket_ms = 0;
   std::uint64_t limit = 0;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--help" || a == "-h") {
@@ -867,22 +860,22 @@ int run_inspect_command(int argc, char** argv) {
     } else if (a == "--timeline") {
       timeline = true;
     } else if (a == "--bucket-ms") {
-      bucket_ms = std::atof(need(i));
+      bucket_ms = std::atof(need(argc, argv, i));
       if (bucket_ms <= 0) usage_error("--bucket-ms must be positive");
     } else if (a == "--kind") {
-      const std::string v = need(i);
+      const std::string v = need(argc, argv, i);
       kind = obs::kind_from_string(v);
       if (!kind) usage_error("unknown event kind " + v);
     } else if (a == "--source") {
-      const std::string v = need(i);
+      const std::string v = need(argc, argv, i);
       source = obs::source_from_string(v);
       if (!source) usage_error("unknown source " + v);
     } else if (a == "--from-ms") {
-      from_ms = std::atof(need(i));
+      from_ms = std::atof(need(argc, argv, i));
     } else if (a == "--to-ms") {
-      to_ms = std::atof(need(i));
+      to_ms = std::atof(need(argc, argv, i));
     } else if (a == "--limit") {
-      limit = static_cast<std::uint64_t>(std::atoll(need(i)));
+      limit = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
     } else if (!a.empty() && a[0] != '-' && file.empty()) {
       file = a;
     } else {
@@ -974,10 +967,6 @@ int run_trace_command(int argc, char** argv) {
   bool live_flags = false;
   bool corrupt_state = false;
   std::uint32_t corrupt_injections = 0;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (parse_chaos_flag(argc, argv, i, knobs)) {
@@ -988,15 +977,17 @@ int run_trace_command(int argc, char** argv) {
       corrupt_state = true;
       live_flags = true;
     } else if (a == "--injections") {
-      corrupt_injections = static_cast<std::uint32_t>(std::atoi(need(i)));
+      corrupt_injections =
+          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
       live_flags = true;
     } else if (a == "--sample-ms") {
-      knobs.sample_period = Time::seconds(std::atof(need(i)) * 1e-3);
+      knobs.sample_period =
+          Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
       live_flags = true;
     } else if (a == "--perfetto") {
-      perfetto_out = need(i);
+      perfetto_out = need(argc, argv, i);
     } else if (a == "--explain") {
-      explain_arg = need(i);
+      explain_arg = need(argc, argv, i);
     } else if (a == "--dump") {
       dump = true;
     } else if (!a.empty() && a[0] != '-' && file.empty()) {
@@ -1132,18 +1123,14 @@ int run_connect_command(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::string in_path;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--host") {
-      host = need(i);
+      host = need(argc, argv, i);
     } else if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(need(i)));
+      port = static_cast<std::uint16_t>(std::atoi(need(argc, argv, i)));
     } else if (a == "--in") {
-      in_path = need(i);
+      in_path = need(argc, argv, i);
     } else if (a == "--help" || a == "-h") {
       std::printf(
           "usage: lamsdlc_cli connect --port N [--host HOST] [--in FILE]\n"
@@ -1267,16 +1254,12 @@ int run_status_command(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::string verb = "status";
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--host") {
-      host = need(i);
+      host = need(argc, argv, i);
     } else if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(need(i)));
+      port = static_cast<std::uint16_t>(std::atoi(need(argc, argv, i)));
     } else if (a == "--pretty") {
       verb = "text";
     } else if (a == "--metrics") {
@@ -1328,21 +1311,17 @@ int run_watch_command(int argc, char** argv) {
   std::uint16_t port = 0;
   long interval_ms = 1000;
   long count = 0;
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--host") {
-      host = need(i);
+      host = need(argc, argv, i);
     } else if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(need(i)));
+      port = static_cast<std::uint16_t>(std::atoi(need(argc, argv, i)));
     } else if (a == "--interval-ms") {
-      interval_ms = std::atol(need(i));
+      interval_ms = std::atol(need(argc, argv, i));
       if (interval_ms <= 0) usage_error("--interval-ms must be positive");
     } else if (a == "--count") {
-      count = std::atol(need(i));
+      count = std::atol(need(argc, argv, i));
     } else if (a == "--help" || a == "-h") {
       std::printf(
           "usage: lamsdlc_cli watch --port N [--host HOST] "
@@ -1451,10 +1430,6 @@ int run_network_command(int argc, char** argv) {
   sim::NetworkRunConfig cfg;
   std::string metrics_out;
   std::string capture_out;
-  auto value = [&](int& i) -> std::string {
-    if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--help" || a == "-h") {
@@ -1462,41 +1437,45 @@ int run_network_command(int argc, char** argv) {
                   "tools/lamsdlc_cli.cpp (run_network_command)\n");
       return 0;
     } else if (a == "--sats") {
-      cfg.satellites = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.satellites =
+          static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
     } else if (a == "--planes") {
-      cfg.planes = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.planes = static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
     } else if (a == "--partitions") {
-      cfg.partitions = std::stoul(value(i));
+      cfg.partitions = std::stoul(need(argc, argv, i));
     } else if (a == "--waves") {
-      cfg.waves = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.waves = static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
     } else if (a == "--packets-per-wave") {
-      cfg.packets_per_wave = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.packets_per_wave =
+          static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
     } else if (a == "--packet-bytes") {
-      cfg.packet_bytes = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.packet_bytes =
+          static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
     } else if (a == "--message-segments") {
-      cfg.message_segments = static_cast<std::uint32_t>(std::stoul(value(i)));
+      cfg.message_segments =
+          static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
     } else if (a == "--wave-interval-ms") {
-      cfg.wave_interval = Time::milliseconds(std::stol(value(i)));
+      cfg.wave_interval = Time::milliseconds(std::stol(need(argc, argv, i)));
     } else if (a == "--horizon-s") {
-      cfg.horizon = Time::seconds(std::stod(value(i)));
+      cfg.horizon = Time::seconds(std::stod(need(argc, argv, i)));
     } else if (a == "--max-range-km") {
-      cfg.max_range_m = std::stod(value(i)) * 1e3;
+      cfg.max_range_m = std::stod(need(argc, argv, i)) * 1e3;
     } else if (a == "--seed") {
-      cfg.seed = std::stoull(value(i));
+      cfg.seed = std::stoull(need(argc, argv, i));
     } else if (a == "--pf") {
-      cfg.p_frame = std::stod(value(i));
+      cfg.p_frame = std::stod(need(argc, argv, i));
     } else if (a == "--pc") {
-      cfg.p_control = std::stod(value(i));
+      cfg.p_control = std::stod(need(argc, argv, i));
     } else if (a == "--observe") {
       cfg.observe = true;
     } else if (a == "--sample-ms") {
-      cfg.sample_period = Time::milliseconds(std::stol(value(i)));
+      cfg.sample_period = Time::milliseconds(std::stol(need(argc, argv, i)));
       cfg.observe = true;
     } else if (a == "--metrics-out") {
-      metrics_out = value(i);
+      metrics_out = need(argc, argv, i);
       cfg.observe = true;
     } else if (a == "--capture-out") {
-      capture_out = value(i);
+      capture_out = need(argc, argv, i);
       cfg.observe = true;
     } else {
       usage_error("unknown network flag " + a);
