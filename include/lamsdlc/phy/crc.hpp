@@ -31,8 +31,17 @@ namespace lamsdlc::phy {
     std::span<const std::uint8_t> data) noexcept;
 /// @}
 
-/// Human-readable name of the active fast-path backend (for bench output and
-/// docs), e.g. "slice-by-8" or "slice-by-8 + arm-crc32".
+/// The portable slice-by-8 CRC-16.  crc16_ccitt() uses it for inputs under
+/// 64 bytes and on hosts without the carry-less-multiply kernel; exported so
+/// the differential tests cover it on hosts where that kernel runs as well.
+[[nodiscard]] std::uint16_t crc16_ccitt_sliced(
+    std::span<const std::uint8_t> data) noexcept;
+
+/// Human-readable name of the backend crc16_ccitt() and crc32_ieee() run on
+/// this host (for bench output and docs): "pclmul-fold (crc16) + slice-by-8
+/// (crc32)" on x86-64 CPUs with PCLMULQDQ, "slice-by-8 (crc16) + armv8 crc32
+/// (crc32)" on AArch64 builds with the CRC extension, otherwise "slice-by-8"
+/// ("bytewise (big-endian host)" on big-endian hosts).
 [[nodiscard]] const char* crc_backend() noexcept;
 
 }  // namespace lamsdlc::phy

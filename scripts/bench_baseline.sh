@@ -125,9 +125,9 @@ out = {
                  "frame paths; public API only)",
     "baseline": baseline,
     "current": {
-        "frame_path": "slice-by-8 CRC (hw crc32 where compiled in) + "
-                      "batched transit-queue delivery + flat arena "
-                      "forwarding tables + SoA in-flight table",
+        "frame_path": f"{current['crc_backend']} CRC + batched "
+                      "transit-queue delivery + flat arena forwarding "
+                      "tables + SoA in-flight table",
         "crc_backend": current["crc_backend"],
         **{k: current[k] for k in keys},
     },

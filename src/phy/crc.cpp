@@ -4,10 +4,22 @@
 #include <bit>
 #include <cstring>
 
+// CRC-16 on x86-64 (GNU-compatible compilers): inputs of 64 bytes or more go
+// through a carry-less-multiply folding kernel (Gopal et al., "Fast CRC
+// Computation for Generic Polynomials Using PCLMULQDQ Instruction", Intel
+// 2009) when CPUID reports PCLMULQDQ and SSSE3.  Shorter inputs, other
+// architectures and older CPUs take the slice-by-8 tables.
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define LAMSDLC_CRC16_FOLD 1
+#else
+#define LAMSDLC_CRC16_FOLD 0
+#endif
+
 // True IEEE-polynomial CRC32 instructions exist on ARMv8 (armv8-a+crc); the
 // x86 SSE4.2 `crc32` instruction computes CRC-32C (Castagnoli, 0x1EDC6F41)
-// and is useless for the 802.3 polynomial without a PCLMULQDQ folding
-// kernel, so x86 stays on the slice-by-8 path.
+// and is useless for the 802.3 polynomial, so x86 CRC-32 stays on the
+// slice-by-8 path (no frame carries a CRC-32).
 #if defined(__ARM_FEATURE_CRC32)
 #include <arm_acle.h>
 #define LAMSDLC_CRC32_HW 1
@@ -83,6 +95,106 @@ constexpr auto kCrc32Slices = make_crc32_slices();
 /// such hosts keep the (identical-output) bytewise loops.
 constexpr bool kLittleEndian = std::endian::native == std::endian::little;
 
+/// Slice-by-8 CRC-16 over [p, p+n) from running state \p crc (the caller
+/// supplies the init value; there is no xor-out).
+std::uint16_t crc16_update(std::uint16_t crc, const std::uint8_t* p,
+                           std::size_t n) noexcept {
+  const auto& t = kCrc16Slices;
+  while (n >= 8) {
+    // The 16-bit state covers the first two bytes; the remaining six fold in
+    // as pure table lookups with no dependency on the running CRC.
+    crc = static_cast<std::uint16_t>(
+        t[7][(crc >> 8) ^ p[0]] ^ t[6][(crc ^ p[1]) & 0xFFu] ^ t[5][p[2]] ^
+        t[4][p[3]] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]]);
+    p += 8;
+    n -= 8;
+  }
+  for (; n > 0; --n, ++p) {
+    crc = static_cast<std::uint16_t>((crc << 8) ^
+                                     kCrc16Table[((crc >> 8) ^ *p) & 0xFFu]);
+  }
+  return crc;
+}
+
+#if LAMSDLC_CRC16_FOLD
+/// x^k mod P for the CRC-16/CCITT polynomial P = x^16 + x^12 + x^5 + 1.
+consteval long long x_pow_mod_p(unsigned k) {
+  std::uint32_t r = 1;
+  for (unsigned i = 0; i < k; ++i) {
+    r <<= 1;
+    if (r & 0x10000u) r ^= 0x11021u;
+  }
+  return r;
+}
+
+// GCC inlines a helper into the kernel only if the helper carries the same
+// target features, so every function below that uses the intrinsics has it.
+#define LAMSDLC_FOLD_TARGET __attribute__((target("pclmul,ssse3")))
+
+LAMSDLC_FOLD_TARGET inline __m128i byte_reverse(__m128i v) {
+  return _mm_shuffle_epi8(
+      v, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+}
+
+/// The 16 bytes at \p p as one polynomial: the first byte's top bit is the
+/// x^127 coefficient, the CRC's most-significant-bit-first order.
+LAMSDLC_FOLD_TARGET inline __m128i load_block(const std::uint8_t* p) {
+  return byte_reverse(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+/// A value congruent to a * x^d + next (mod P), where \p k holds
+/// (x^(d+64) mod P, x^d mod P) in its (high, low) halves.  Each product is
+/// a 64-bit half times a 16-bit constant, so it fits in 80 bits.
+LAMSDLC_FOLD_TARGET inline __m128i fold(__m128i a, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x11),
+                                     _mm_clmulepi64_si128(a, k, 0x00)),
+                       next);
+}
+
+/// crc16_fold's shortest input: one block for each of its four lanes.
+constexpr std::size_t kFoldMinBytes = 64;
+
+/// CRC-16/CCITT-FALSE of n >= kFoldMinBytes bytes.  Four lanes hold the
+/// polynomials of interleaved 16-byte blocks and each step advances all four
+/// by 64 bytes; the lanes then fold into one, whole 16-byte blocks fold into
+/// that, and the last 16-byte value A plus the tail (< 16 bytes) go through
+/// the tables: CRC(A || tail) with init 0 is (A * x^(8 * |tail|) + tail) *
+/// x^16 mod P, the CRC of everything before them.  Reads only [p, p+n).
+LAMSDLC_FOLD_TARGET std::uint16_t crc16_fold(const std::uint8_t* p,
+                                             std::size_t n) noexcept {
+  const __m128i by64 = _mm_set_epi64x(x_pow_mod_p(576), x_pow_mod_p(512));
+  const __m128i by16 = _mm_set_epi64x(x_pow_mod_p(192), x_pow_mod_p(128));
+  // Init 0xFFFF is the same as inverting the first two message bytes.
+  const __m128i init = _mm_set_epi16(-1, 0, 0, 0, 0, 0, 0, 0);
+  __m128i l0 = _mm_xor_si128(load_block(p), init);
+  __m128i l1 = load_block(p + 16);
+  __m128i l2 = load_block(p + 32);
+  __m128i l3 = load_block(p + 48);
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    l0 = fold(l0, by64, load_block(p));
+    l1 = fold(l1, by64, load_block(p + 16));
+    l2 = fold(l2, by64, load_block(p + 32));
+    l3 = fold(l3, by64, load_block(p + 48));
+  }
+  __m128i acc = fold(fold(fold(l0, by16, l1), by16, l2), by16, l3);
+  for (; n >= 16; p += 16, n -= 16) acc = fold(acc, by16, load_block(p));
+  std::array<std::uint8_t, 16> rest{};
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(rest.data()), byte_reverse(acc));
+  return crc16_update(crc16_update(0, rest.data(), rest.size()), p, n);
+}
+
+/// Whether this CPU runs crc16_fold, resolved once.  crc16_ccitt may run
+/// during static initialisation, so the CPU model is initialised here
+/// rather than assumed.
+bool fold_supported() noexcept {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("ssse3");
+  }();
+  return supported;
+}
+#endif
+
 }  // namespace
 
 std::uint16_t crc16_ccitt_bytewise(std::span<const std::uint8_t> data) noexcept {
@@ -102,26 +214,18 @@ std::uint32_t crc32_ieee_bytewise(std::span<const std::uint8_t> data) noexcept {
   return crc ^ 0xFFFFFFFFu;
 }
 
-std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) noexcept {
+std::uint16_t crc16_ccitt_sliced(std::span<const std::uint8_t> data) noexcept {
   if constexpr (!kLittleEndian) return crc16_ccitt_bytewise(data);
-  std::uint16_t crc = 0xFFFFu;
-  const std::uint8_t* p = data.data();
-  std::size_t n = data.size();
-  const auto& t = kCrc16Slices;
-  while (n >= 8) {
-    // The 16-bit state covers the first two bytes; the remaining six fold in
-    // as pure table lookups with no dependency on the running CRC.
-    crc = static_cast<std::uint16_t>(
-        t[7][(crc >> 8) ^ p[0]] ^ t[6][(crc ^ p[1]) & 0xFFu] ^ t[5][p[2]] ^
-        t[4][p[3]] ^ t[3][p[4]] ^ t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]]);
-    p += 8;
-    n -= 8;
+  return crc16_update(0xFFFFu, data.data(), data.size());
+}
+
+std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data) noexcept {
+#if LAMSDLC_CRC16_FOLD
+  if (data.size() >= kFoldMinBytes && fold_supported()) {
+    return crc16_fold(data.data(), data.size());
   }
-  for (; n > 0; --n, ++p) {
-    crc = static_cast<std::uint16_t>((crc << 8) ^
-                                     kCrc16Table[((crc >> 8) ^ *p) & 0xFFu]);
-  }
-  return crc;
+#endif
+  return crc16_ccitt_sliced(data);
 }
 
 std::uint32_t crc32_ieee(std::span<const std::uint8_t> data) noexcept {
@@ -162,6 +266,9 @@ std::uint32_t crc32_ieee(std::span<const std::uint8_t> data) noexcept {
 }
 
 const char* crc_backend() noexcept {
+#if LAMSDLC_CRC16_FOLD
+  if (fold_supported()) return "pclmul-fold (crc16) + slice-by-8 (crc32)";
+#endif
 #if LAMSDLC_CRC32_HW
   return "slice-by-8 (crc16) + armv8 crc32 (crc32)";
 #else

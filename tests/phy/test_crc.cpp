@@ -4,6 +4,7 @@
 
 #include <array>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -76,11 +77,14 @@ TEST(Crc32, LongInput) {
 
 // ------------------------------------------------------------ differential --
 //
-// The fast paths (slice-by-8 tables, and the ARM hardware CRC32 where
-// compiled in) must be bit-identical to the bytewise reference for every
-// buffer shape: the sliced inner loop consumes 8 bytes at a time, so the
-// head (before the loop), the tail (after it), and short buffers that never
-// enter it are all distinct code paths that have to agree with the oracle.
+// The fast paths must be bit-identical to the bytewise reference for every
+// buffer shape.  crc16_ccitt() dispatches inputs of 64 bytes or more to a
+// carry-less-multiply folding kernel on x86-64 CPUs with PCLMULQDQ, so the
+// slice-by-8 loop it otherwise uses is checked directly as well
+// (crc16_ccitt_sliced); CRC-32 runs slice-by-8, or the ARM hardware CRC32
+// where compiled in.  Each path has distinct code for the head, the
+// steady-state loop and the tail, and every one of them has to agree with
+// the oracle.
 
 std::vector<std::uint8_t> random_buffer(std::size_t n, std::uint64_t seed) {
   RandomStream rng{seed, "test.crc.diff"};
@@ -91,53 +95,74 @@ std::vector<std::uint8_t> random_buffer(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+// Every fast path against its oracle on one buffer; `where` names the case.
+void expect_matches_oracle(std::span<const std::uint8_t> s,
+                           const std::string& where) {
+  const std::uint16_t want16 = crc16_ccitt_bytewise(s);
+  EXPECT_EQ(crc16_ccitt(s), want16) << where;
+  EXPECT_EQ(crc16_ccitt_sliced(s), want16) << where;
+  EXPECT_EQ(crc32_ieee(s), crc32_ieee_bytewise(s)) << where;
+}
+
 TEST(CrcDifferential, EmptyMatchesOracle) {
-  EXPECT_EQ(crc16_ccitt({}), crc16_ccitt_bytewise({}));
-  EXPECT_EQ(crc32_ieee({}), crc32_ieee_bytewise({}));
+  expect_matches_oracle({}, "empty");
 }
 
 TEST(CrcDifferential, EverySingleByteValueMatchesOracle) {
   for (int v = 0; v < 256; ++v) {
     const std::array<std::uint8_t, 1> one{static_cast<std::uint8_t>(v)};
-    EXPECT_EQ(crc16_ccitt(one), crc16_ccitt_bytewise(one)) << "byte " << v;
-    EXPECT_EQ(crc32_ieee(one), crc32_ieee_bytewise(one)) << "byte " << v;
+    expect_matches_oracle(one, "byte " + std::to_string(v));
   }
 }
 
-// Every length 0..64: covers buffers shorter than one 8-byte slice, exactly
-// one slice, and every possible tail remainder after the sliced loop.
+// Every length 0..1024 at every base offset 0..15.  For the 8-byte slices
+// that is every tail remainder; for the fold kernel it is the table fallback
+// below 64 bytes, the 64-byte prologue alone, every count of 4-lane steps,
+// every number of 16-byte cleanup blocks and every tail length, each from a
+// base pointer at every alignment mod 16.
 TEST(CrcDifferential, AllShortLengthsMatchOracle) {
-  const auto data = random_buffer(64, 11);
-  for (std::size_t len = 0; len <= data.size(); ++len) {
-    const std::span<const std::uint8_t> s{data.data(), len};
-    EXPECT_EQ(crc16_ccitt(s), crc16_ccitt_bytewise(s)) << "len " << len;
-    EXPECT_EQ(crc32_ieee(s), crc32_ieee_bytewise(s)) << "len " << len;
+  const auto data = random_buffer(1024 + 16, 11);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::span<const std::uint8_t> s{data.data() + off, len};
+      expect_matches_oracle(s, "off " + std::to_string(off) + " len " +
+                                   std::to_string(len));
+    }
   }
 }
 
 // Unaligned head and tail: sub-spans starting at every offset 0..15 with
 // lengths that leave every tail remainder, over a buffer big enough that the
-// sliced loop runs.  The span's base pointer takes every alignment mod 8,
-// which is exactly what the fast path's head handling must absorb.
+// steady-state loops run many times.
 TEST(CrcDifferential, UnalignedHeadAndTailMatchOracle) {
   const auto data = random_buffer(4096 + 32, 12);
   for (std::size_t off = 0; off < 16; ++off) {
     for (std::size_t chop = 0; chop < 16; ++chop) {
       const std::span<const std::uint8_t> s{data.data() + off,
                                             data.size() - off - chop};
-      EXPECT_EQ(crc16_ccitt(s), crc16_ccitt_bytewise(s))
-          << "off " << off << " chop " << chop;
-      EXPECT_EQ(crc32_ieee(s), crc32_ieee_bytewise(s))
-          << "off " << off << " chop " << chop;
+      expect_matches_oracle(s, "off " + std::to_string(off) + " chop " +
+                                   std::to_string(chop));
+    }
+  }
+}
+
+// The bodies the frame codec checksums on the benchmarked links: a 9-byte
+// I-frame header (kind, seq, payload length) plus a 1 KiB or 8 KiB payload.
+TEST(CrcDifferential, BenchmarkFrameBodiesMatchOracle) {
+  const auto data = random_buffer(9 + 8192 + 16, 13);
+  for (const std::size_t len : {9 + 1024, 9 + 8192}) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      const std::span<const std::uint8_t> s{data.data() + off, len};
+      expect_matches_oracle(s, "off " + std::to_string(off) + " len " +
+                                   std::to_string(len));
     }
   }
 }
 
 TEST(CrcDifferential, Random64KBuffersMatchOracle) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const auto data = random_buffer(64 * 1024, seed);
-    EXPECT_EQ(crc16_ccitt(data), crc16_ccitt_bytewise(data)) << "seed " << seed;
-    EXPECT_EQ(crc32_ieee(data), crc32_ieee_bytewise(data)) << "seed " << seed;
+    expect_matches_oracle(random_buffer(64 * 1024, seed),
+                          "seed " + std::to_string(seed));
   }
 }
 
@@ -156,12 +181,29 @@ TEST(CrcDifferential, KnownAnswerVectors) {
   EXPECT_EQ(crc32_ieee_bytewise(bytes("abc")), 0x352441C2u);
   // And the fast paths against the same constants directly.
   EXPECT_EQ(crc16_ccitt(bytes("123456789")), 0x29B1);
+  EXPECT_EQ(crc16_ccitt_sliced(bytes("123456789")), 0x29B1);
   EXPECT_EQ(crc32_ieee(bytes("abc")), 0x352441C2u);
 }
 
 TEST(CrcDifferential, BackendReportsNonEmptyName) {
   EXPECT_NE(crc_backend(), nullptr);
   EXPECT_NE(std::string_view{crc_backend()}, "");
+}
+
+// A dispatch bug that left a PCLMULQDQ host on the table path would pass
+// every differential test above while losing the kernel's whole gain.
+TEST(CrcDifferential, FoldKernelRunsWherePclmulIsAvailable) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("pclmul") || !__builtin_cpu_supports("ssse3")) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ or SSSE3";
+  }
+  EXPECT_NE(std::string_view{crc_backend()}.find("pclmul-fold"),
+            std::string_view::npos)
+      << crc_backend();
+#else
+  GTEST_SKIP() << "the fold kernel is built for x86-64 only";
+#endif
 }
 
 }  // namespace
