@@ -84,6 +84,9 @@ class SessionMux {
         bus_for;
   };
 
+  /// Throws std::invalid_argument when \p cfg has a zero `chunk_bytes`, a
+  /// `data_rate_bps` that is not positive and finite, or a non-positive
+  /// checkpoint interval.
   SessionMux(EventLoop& loop, Transport& transport, Config cfg);
   ~SessionMux();
 

@@ -1,7 +1,9 @@
 #include "lamsdlc/rt/session_mux.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 #include <variant>
 
@@ -60,6 +62,20 @@ struct SessionMux::RxSession final : sim::PacketListener {
 
 SessionMux::SessionMux(EventLoop& loop, Transport& transport, Config cfg)
     : loop_{loop}, transport_{transport}, cfg_{std::move(cfg)} {
+  // Each of these would wedge the protocol thread instead of failing: an
+  // endless segmentation loop, an infinite serialization time, or a
+  // checkpoint cadence that reschedules itself at the same instant.
+  if (cfg_.chunk_bytes == 0) {
+    throw std::invalid_argument("SessionMux: chunk_bytes must be positive");
+  }
+  if (!(cfg_.data_rate_bps > 0) || !std::isfinite(cfg_.data_rate_bps)) {
+    throw std::invalid_argument(
+        "SessionMux: data_rate_bps must be positive and finite");
+  }
+  if (cfg_.session.lams.checkpoint_interval <= Time{}) {
+    throw std::invalid_argument(
+        "SessionMux: checkpoint_interval must be positive");
+  }
   if (cfg_.decode_limits.seq_modulus == 0) {
     cfg_.decode_limits.seq_modulus = cfg_.session.lams.modulus;
   }

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "lamsdlc/core/random.hpp"
@@ -227,6 +230,35 @@ TEST(SessionMux, PeerRestartWithLowEpochReplacesClosedReceiver) {
   expect.insert(expect.end(), round2.begin(), round2.end());
   EXPECT_EQ(sink.data.at(Sink::key(0, 5)), expect);
   EXPECT_TRUE(sink.clean.at(Sink::key(0, 5)));
+}
+
+// Configs the live loop cannot run are refused up front: a zero chunk size
+// never finishes segmenting, a rate that is not positive and finite makes
+// every serialization time infinite, and a zero checkpoint interval
+// reschedules the receiver cadence at the same instant forever.
+TEST(SessionMux, RejectsConfigsTheLoopCannotRun) {
+  SimClock loop;
+  auto transports =
+      LoopbackTransport::make_pair(loop, Time::microseconds(100));
+  rt::Transport& t = *transports.first;
+
+  SessionMux::Config zero_chunk = mux_config();
+  zero_chunk.chunk_bytes = 0;
+  EXPECT_THROW((SessionMux{loop, t, zero_chunk}), std::invalid_argument);
+
+  for (const double rate : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                            std::nan("")}) {
+    SessionMux::Config bad_rate = mux_config();
+    bad_rate.data_rate_bps = rate;
+    EXPECT_THROW((SessionMux{loop, t, bad_rate}), std::invalid_argument)
+        << rate;
+  }
+
+  SessionMux::Config zero_cadence = mux_config();
+  zero_cadence.session.lams.checkpoint_interval = Time{};
+  EXPECT_THROW((SessionMux{loop, t, zero_cadence}), std::invalid_argument);
+
+  EXPECT_NO_THROW((SessionMux{loop, t, mux_config()}));
 }
 
 }  // namespace

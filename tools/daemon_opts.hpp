@@ -1,54 +1,18 @@
 #pragma once
 /// \file daemon_opts.hpp
-/// \brief Flag parsing + run loop shared by `lamsdlcd` and
+/// \brief Flag table + run loop shared by `lamsdlcd` and
 ///        `lamsdlc_cli serve` — one daemon, two front doors.
 ///
-/// Flags (defaults in brackets):
-///   --bind HOST              [127.0.0.1]  UDP bind address
-///   --port N                 [0]          UDP port (0 = ephemeral, printed)
-///   --peer HOST:PORT         [-]          remote daemon for outbound streams
-///   --self-peer              [off]        peer with our own socket (single-
-///                                         process live mode, full captures)
-///   --bridge [PORT]          [off]        local TCP client bridge (PORT
-///                                         optional; 0/omitted = ephemeral)
-///   --deliver-dir DIR        [-]          write inbound streams here
-///                                         (.part -> .bin/.err rename)
-///   --session-base N         [pid-based]  first outbound session id
-///   --exit-after-streams N   [0]          exit once N streams finished
-///   --rate BPS               [300e6]      modeled serialization rate
-///   --max-one-way-ms MS      [5]          one-way network delay bound
-///   --chunk-bytes B          [1024]       stream segmentation
-///   --icp-ms MS              [5]          LAMS checkpoint interval
-///   --impair                 [off]        route outbound datagrams through
-///                                         the fault injector
-///   --p-drop/-duplicate/-reorder/-corrupt/-truncate P   [0] fault rates
-///   --max-jitter-us US       [40]         reorder jitter bound
-///   --fault-seed S           [1]
-///   --capture PREFIX         [-]          one .ldlcap per session id at
-///                                         PREFIX-s<sid>.ldlcap
-///   --status [PORT]          [off]        TCP introspection port (PORT
-///                                         optional; 0/omitted = ephemeral)
-///   --status-sample-ms MS    [500]        sampler period for `watch`
-///                                         (0 disables sampling)
-///   --recorder-dir DIR       [.]          flight-recorder dump directory
-///                                         (blackbox-s<sid>-<n>.ldlcap)
-///   --recorder-events N      [4096]       per-session ring capacity
-///                                         (0 disables the recorder)
-///   --no-telemetry           [off]        detach all per-session telemetry
-///                                         (registry + recorder; bench A/B)
-///   --verbose                [off]        progress lines on stderr
-///
-/// On startup the daemon prints one machine-readable line per bound socket
-/// (`udp <port>` / `bridge <port>` / `status <port>`) and `ready`, then
-/// serves until killed or --exit-after-streams is met; exit status 0 iff no
-/// stream failed.
+/// `lamsdlcd --help` lists every flag with its default.  On startup the
+/// daemon prints one machine-readable line per bound socket (`udp <port>` /
+/// `bridge <port>` / `status <port>`) and `ready`, then serves until killed
+/// or --exit-after-streams is met; exit status 0 iff no stream failed.
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "flags.hpp"
 #include "lamsdlc/rt/daemon.hpp"
 
 namespace lamsdlc::tools {
@@ -59,123 +23,104 @@ inline void daemon_signal_handler(int) {
   if (g_daemon != nullptr) g_daemon->stop();
 }
 
-/// Parse `HOST:PORT`; exits with a usage error on malformed input.
+/// Parse `HOST:PORT` with a port in [1, 65535].
 inline bool split_host_port(const std::string& s, std::string& host,
                             std::uint16_t& port) {
   const auto colon = s.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == s.size()) {
-    return false;
-  }
+  if (colon == std::string::npos || colon == 0) return false;
+  const auto p = parse_number<std::uint16_t>(s.substr(colon + 1));
+  if (!p || *p == 0) return false;
   host = s.substr(0, colon);
-  const long p = std::strtol(s.c_str() + colon + 1, nullptr, 10);
-  if (p <= 0 || p > 65535) return false;
-  port = static_cast<std::uint16_t>(p);
+  port = *p;
   return true;
 }
 
-/// Parse daemon flags starting at argv[first]; exits 2 on bad usage.
-/// `prog` prefixes error messages ("lamsdlcd" / "lamsdlc_cli serve").
-inline rt::DaemonConfig parse_daemon_flags(int argc, char** argv, int first,
-                                           const char* prog) {
-  rt::DaemonConfig cfg;
-  auto die = [&](const std::string& what) {
-    std::fprintf(stderr, "%s: %s (see tools/daemon_opts.hpp for flags)\n",
-                 prog, what.c_str());
-    std::exit(2);
+/// A `--bridge [PORT]` row: turns \p on, and takes the next argument as the
+/// port (0 = ephemeral) only when it is one.
+inline Flag optional_port(const char* name, const char* help, bool& on,
+                          std::uint16_t& port) {
+  return {name, "PORT", help,
+          [&on, &port](const char* v) {
+            if (v != nullptr) {
+              const auto p = parse_number<std::uint16_t>(v);
+              if (!p) return false;
+              port = *p;
+            }
+            on = true;
+            return true;
+          },
+          "a port in [0, 65535]", /*optional=*/true};
+}
+
+inline Flags daemon_flags(rt::DaemonConfig& c) {
+  phy::FaultInjector::Config& f = c.fault;
+  return {
+      text("--bind", "HOST", "UDP bind address [127.0.0.1]", c.bind_host),
+      num("--port", "N", "UDP port, 0 = ephemeral [0]", c.udp_port, 0),
+      {"--peer", "HOST:PORT", "remote daemon for outbound streams",
+       [&c](const char* v) {
+         return split_host_port(v, c.peer_host, c.peer_port);
+       },
+       "HOST:PORT with a port in [1, 65535]"},
+      set("--self-peer", "peer with our own socket (one-process live mode)",
+          c.self_peer, true),
+      optional_port("--bridge", "local TCP client bridge [off]", c.bridge,
+                    c.bridge_port),
+      text("--deliver-dir", "DIR", "write inbound streams here [discard]",
+           c.deliver_dir),
+      num("--session-base", "N", "first outbound session id [pid-based]",
+          c.session_base, 0),
+      num("--exit-after-streams", "N", "exit after N streams [0 = never]",
+          c.exit_after_streams, 0),
+      num("--rate", "BPS", "modeled data rate [300e6]", c.data_rate_bps,
+          kAboveZero),
+      duration("--max-one-way-ms", "MS", "one-way delay bound [5]",
+               c.max_one_way, 1e-3),
+      num("--chunk-bytes", "B", "stream segmentation [1024]", c.chunk_bytes, 1),
+      duration("--icp-ms", "MS", "LAMS checkpoint interval [5]",
+               c.session.lams.checkpoint_interval, 1e-3, true),
+      set("--impair", "send datagrams through the fault injector", c.impair,
+          true),
+      num("--p-drop", "P", "drop probability [0]", f.p_drop, 0.0, 1.0),
+      num("--p-duplicate", "P", "duplication probability [0]", f.p_duplicate,
+          0.0, 1.0),
+      num("--p-reorder", "P", "reorder probability [0]", f.p_reorder, 0.0, 1.0),
+      num("--p-corrupt", "P", "corruption probability [0]", f.p_corrupt, 0.0,
+          1.0),
+      num("--p-truncate", "P", "truncation probability [0]", f.p_truncate, 0.0,
+          1.0),
+      duration("--max-jitter-us", "US", "reorder jitter bound [40]",
+               f.max_jitter, 1e-6),
+      num("--fault-seed", "S", "fault injector seed [1]", c.fault_seed, 0),
+      text("--capture", "PREFIX", "one PREFIX-s<sid>.ldlcap per session [off]",
+           c.capture_prefix),
+      optional_port("--status", "TCP introspection port [off]", c.status,
+                    c.status_port),
+      duration("--status-sample-ms", "MS", "sampler period, 0 = off [500]",
+               c.status_sample_period, 1e-3),
+      text("--recorder-dir", "DIR", "flight-recorder dump directory [.]",
+           c.recorder_dir),
+      num("--recorder-events", "N", "flight-recorder ring, 0 = off [4096]",
+          c.recorder_events, 0),
+      set("--no-telemetry", "detach all per-session telemetry", c.telemetry,
+          false),
+      set("--verbose", "progress lines on stderr", c.verbose, true),
   };
-  auto need = [&](int& i) -> const char* {
-    if (i + 1 >= argc) die(std::string("missing value for ") + argv[i]);
-    return argv[++i];
-  };
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--bind") {
-      cfg.bind_host = need(i);
-    } else if (a == "--port") {
-      cfg.udp_port = static_cast<std::uint16_t>(std::atoi(need(i)));
-    } else if (a == "--peer") {
-      if (!split_host_port(need(i), cfg.peer_host, cfg.peer_port)) {
-        die("--peer wants HOST:PORT");
-      }
-    } else if (a == "--self-peer") {
-      cfg.self_peer = true;
-    } else if (a == "--bridge") {
-      cfg.bridge = true;
-      // Optional port operand: consume the next argv iff it is a number.
-      if (i + 1 < argc && argv[i + 1][0] != '-' &&
-          std::strtol(argv[i + 1], nullptr, 10) > 0) {
-        cfg.bridge_port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-      }
-    } else if (a == "--deliver-dir") {
-      cfg.deliver_dir = need(i);
-    } else if (a == "--session-base") {
-      cfg.session_base = static_cast<std::uint32_t>(std::atoll(need(i)));
-    } else if (a == "--exit-after-streams") {
-      cfg.exit_after_streams = static_cast<std::uint32_t>(std::atoi(need(i)));
-    } else if (a == "--rate") {
-      cfg.data_rate_bps = std::atof(need(i));
-    } else if (a == "--max-one-way-ms") {
-      cfg.max_one_way = Time::seconds(std::atof(need(i)) * 1e-3);
-    } else if (a == "--chunk-bytes") {
-      cfg.chunk_bytes = static_cast<std::uint32_t>(std::atoi(need(i)));
-    } else if (a == "--icp-ms") {
-      cfg.session.lams.checkpoint_interval =
-          Time::seconds(std::atof(need(i)) * 1e-3);
-    } else if (a == "--impair") {
-      cfg.impair = true;
-    } else if (a == "--p-drop") {
-      cfg.fault.p_drop = std::atof(need(i));
-    } else if (a == "--p-duplicate") {
-      cfg.fault.p_duplicate = std::atof(need(i));
-    } else if (a == "--p-reorder") {
-      cfg.fault.p_reorder = std::atof(need(i));
-    } else if (a == "--p-corrupt") {
-      cfg.fault.p_corrupt = std::atof(need(i));
-    } else if (a == "--p-truncate") {
-      cfg.fault.p_truncate = std::atof(need(i));
-    } else if (a == "--max-jitter-us") {
-      cfg.fault.max_jitter = Time::seconds(std::atof(need(i)) * 1e-6);
-    } else if (a == "--fault-seed") {
-      cfg.fault_seed = static_cast<std::uint64_t>(std::atoll(need(i)));
-    } else if (a == "--capture") {
-      cfg.capture_prefix = need(i);
-    } else if (a == "--status") {
-      cfg.status = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-' &&
-          std::strtol(argv[i + 1], nullptr, 10) > 0) {
-        cfg.status_port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
-      }
-    } else if (a == "--status-sample-ms") {
-      cfg.status_sample_period = Time::seconds(std::atof(need(i)) * 1e-3);
-    } else if (a == "--recorder-dir") {
-      cfg.recorder_dir = need(i);
-    } else if (a == "--recorder-events") {
-      cfg.recorder_events = static_cast<std::size_t>(std::atoll(need(i)));
-    } else if (a == "--no-telemetry") {
-      cfg.telemetry = false;
-    } else if (a == "--verbose") {
-      cfg.verbose = true;
-    } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "usage: %s [flags]\n"
-          "Runs LAMS-DLC sessions over a real UDP socket; the header of\n"
-          "tools/daemon_opts.hpp documents every flag.\n",
-          prog);
-      std::exit(0);
-    } else {
-      die("unknown flag " + a);
-    }
-  }
-  if (cfg.self_peer && !cfg.peer_host.empty()) {
-    die("--self-peer and --peer are mutually exclusive");
-  }
-  return cfg;
 }
 
 /// The shared daemon entry point: parse, start, announce ports, serve.
+/// `prog` prefixes messages ("lamsdlcd" / "lamsdlc_cli serve").
 inline int run_daemon_main(int argc, char** argv, int first,
                            const char* prog) {
-  rt::DaemonConfig cfg = parse_daemon_flags(argc, argv, first, prog);
+  rt::DaemonConfig cfg;
+  parse_flags(argc, argv, first, prog,
+              "[flags]\nRuns LAMS-DLC sessions over a real UDP socket; a "
+              "PORT after --bridge or\n--status is optional, 0 or none "
+              "picks an ephemeral port.",
+              daemon_flags(cfg));
+  if (cfg.self_peer && !cfg.peer_host.empty()) {
+    usage_error(prog, "--self-peer and --peer are mutually exclusive");
+  }
   try {
     rt::Daemon daemon{std::move(cfg)};
     daemon.start();

@@ -7,190 +7,42 @@
 ///   lamsdlc_cli --protocol lams --rate 300e6 --delay-ms 10 --pf 0.1
 ///       --frames 10000 --csv          (a single command line)
 ///
-/// Flags (defaults in brackets):
-///   --protocol lams|sr|gbn|nbdt   [lams]
-///   --rate BPS               [100e6]     link data rate
-///   --delay-ms MS            [5]         one-way propagation delay
-///   --frame-bytes B          [1024]
-///   --frames N               [1000]      batch size
-///   --pf P                   [0]         I-frame error probability
-///   --pc P                   [0]         control-frame error probability
-///   --ber B                  [-]         use Bernoulli BER instead of pf/pc
-///   --burst-ms MS            [-]         Gilbert-Elliott mean burst length
-///   --icp-ms MS              [5]         LAMS checkpoint interval
-///   --cdepth K               [4]         LAMS cumulation depth
-///   --window W               [64]        HDLC window
-///   --timeout-ms MS          [50]        HDLC t_out
-///   --seed S                 [1]
-///   --byte-level             [off]       serialize through the real codec
-///   --horizon-s S            [600]
-///   --csv                    emit one CSV row (header with --csv-header)
-///   --analysis               also print the Section 4 closed forms
+/// Subcommands add the chaos soak, the verification harness, event capture,
+/// inspection and tracing, the live daemon and its clients, and the
+/// constellation run; `lamsdlc_cli --help` lists them and
+/// `lamsdlc_cli <subcommand> --help` lists that subcommand's flags with
+/// their defaults.  Examples:
 ///
-/// Subcommand `chaos`: replay seeded randomized fault schedules under the
-/// protocol invariant checker and print the verdict plus fault counters:
-///
-///   lamsdlc_cli chaos --seed 42              (one run, full verdict)
 ///   lamsdlc_cli chaos --seed 1 --seeds 500   (soak: seeds 1..500)
-///
-/// Chaos flags:
-///   --seed S                 [1]         first (or only) schedule seed
-///   --seeds N                [1]         number of consecutive seeds to run
-///   --jobs N                 [1]         worker threads for the sweep
-///                            (0 = all cores; output is identical either way)
-///   --packets N              [200]       workload size per run
-///   --reverse-only           fault episodes attack only the checkpoint path
-///   --forward-only           fault episodes attack only the I-frame path
-///   --no-outage              never schedule a full link outage
-///   --no-suppress-duplicates ablation: receiver delivers stale frames (the
-///                            checker must then flag duplicate delivery)
-///   --reverse-noise P        pin the reverse (checkpoint path) error rate
-///                            instead of drawing it (feedback asymmetry)
-///   --reverse-outage-from-ms MS / --reverse-outage-ms MS
-///                            reverse-only outage window: checkpoints vanish
-///                            while the forward channel stays up
-///   --self-heal              enable the self-audit / watchdog / RESYNC layer
-///                            in the chaos scenario config
-///
-/// Subcommand `verify`: property-based verification — seeded hostile
-/// scenario generation cross-checked against the protocol invariants, the
-/// SR/GBN differential oracle and the Section 4 closed forms, plus a
-/// wire-level mutation fuzz of the frame codec.  Failing seeds auto-shrink
-/// to a minimal configuration and print a `verify --repro` command line:
-///
 ///   lamsdlc_cli verify --seeds 200            (sweep seeds 1..200 + fuzz)
 ///   lamsdlc_cli verify --repro --seed 17 --modulus 8 --cdepth 3 --packets 40
-///
-/// Verify flags:
-///   --seed S                 [1]    first (or only) seed
-///   --seeds N                [1]    number of consecutive seeds
-///   --jobs N                 [1]    worker threads (0 = all cores)
-///   --fuzz N                 [10000] codec fuzz iterations (0 disables)
-///   --modulus M / --cdepth C / --packets P    pin drawn values (0 = draw)
-///   --no-faults --no-congestion --no-outage --no-reverse --no-byte-level
-///   --no-differential --no-analysis           drop scenario/oracle classes
-///   --fault-scale X          [1.0]  scale fault windows (shrinker output)
-///   --repro                  single seed: print the full transcript verbatim
-///
-/// `verify --corrupt-state`: the state-corruption chaos tier.  Instead of
-/// attacking the wire, seeded injections mutate live endpoint state mid-run
-/// (counters, slots, NAK history, cadence timers, anchors); the oracle is
-/// the self-stabilization contract — converge to invariant-clean steady
-/// state within the recovery budget, or tear down through the bounded-retry
-/// RESYNC path.  Failing seeds shrink and print a repro line:
-///
 ///   lamsdlc_cli verify --corrupt-state --seeds 250 --jobs 0
-///   lamsdlc_cli verify --corrupt-state --seed 58 --no-self-heal --repro
-///
-/// Corrupt-state flags:
-///   --seed S / --seeds N / --jobs N            as in verify
-///   --packets N              [120]  workload size per run
-///   --injections N           [0]    pin the injection count (0 = draw 1..4)
-///   --no-sender / --no-receiver    restrict the corruption targets
-///   --no-state-loss          never destroy an in-flight slot outright
-///   --no-noise               no background wire noise
-///   --no-self-heal           ablation: self-audit/watchdog/RESYNC layer OFF
-///   --fault-scale X          [1.0]  warp-magnitude multiplier (shrinker)
-///   --repro                  print one seed's transcript verbatim
-///
-/// Subcommand `capture`: run one chaos seed with every typed protocol event
-/// recorded to an `.ldlcap` capture file (format: docs/OBSERVABILITY.md):
-///
 ///   lamsdlc_cli capture --seed 42 --out run.ldlcap
-///
-/// Capture flags: the chaos flags above (single seed; no --seeds) plus
-///   --out FILE               [chaos-seed-S.ldlcap]
-///   --sample-ms MS           [off] periodic registry snapshots in the
-///                            capture (kMetricSample records) at this cadence
-///
-/// Subcommand `inspect`: decode an `.ldlcap` file to text or JSON:
-///
-///   lamsdlc_cli inspect run.ldlcap --kind nak_generated --json
 ///   lamsdlc_cli inspect run.ldlcap --timeline --bucket-ms 10
-///
-/// Inspect flags:
-///   --json                   one JSON object per record (default: text)
-///   --summary                per-kind/per-source counts only
-///   --timeline               time-bucketed rate/occupancy table instead of
-///                            records (uses --bucket-ms)
-///   --bucket-ms MS           [span/20, >=1] timeline bucket width
-///   --kind NAME              keep only this event kind
-///   --source NAME            keep only this source (e.g. lams.sender)
-///   --from-ms MS / --to-ms MS  keep t in [from, to); from > to is rejected
-///   --limit N                stop after printing N records
-///
-/// Subcommand `trace`: reconstruct per-packet lifecycle span trees
-/// (admission -> sends/NAKs/renumbered retransmissions -> delivery ->
-/// release) from an `.ldlcap` file, or live from one chaos seed, and report
-/// latency attribution (docs/OBSERVABILITY.md describes the span model):
-///
 ///   lamsdlc_cli trace run.ldlcap --perfetto run.json
 ///   lamsdlc_cli trace --seed 42 --explain worst
-///
-/// Trace flags: a positional capture file, or the chaos flags above (live
-/// run, single seed) plus --sample-ms as in `capture`, and:
-///   --corrupt-state          live run uses the state-corruption tier instead
-///                            of wire chaos (--seed/--packets/--injections);
-///                            RESYNC episodes render as recovery spans
-///   --perfetto FILE          write Chrome trace-event JSON (ui.perfetto.dev)
-///   --explain ID|worst       print one packet's full causal story
-///   --dump                   print the canonical reconstruction dump
-/// Exits 1 when any delivered packet lacks a complete span tree.
-///
-/// Subcommand `serve`: run the live transport daemon (identical to the
-/// standalone `lamsdlcd` binary; flags documented in tools/daemon_opts.hpp):
-///
 ///   lamsdlc_cli serve --self-peer --bridge --deliver-dir /tmp/out
-///
-/// Subcommand `connect`: push one byte stream through a daemon's client
-/// bridge — stream stdin (or --in FILE) to the bridge socket, half-close,
-/// and wait for the `OK <n>` / `ERR <why>` status line.  Exits 0 iff OK:
-///
 ///   lamsdlc_cli connect --port 47101 < file.bin
-///
-/// Connect flags:
-///   --host HOST              [127.0.0.1] bridge address
-///   --port N                 bridge TCP port (required)
-///   --in FILE                [stdin] bytes to send
-///
-/// Subcommand `status`: one-shot snapshot of a live daemon's introspection
-/// port (`lamsdlcd --status`; schema in docs/OBSERVABILITY.md):
-///
-///   lamsdlc_cli status --port 47103            (one JSON line)
-///   lamsdlc_cli status --port 47103 --pretty   (rendered table)
-///   lamsdlc_cli status --port 47103 --metrics  (Prometheus exposition)
-///
-/// Status flags:
-///   --host HOST              [127.0.0.1] status address
-///   --port N                 status TCP port (required)
-///   --pretty                 server-rendered table instead of JSON
-///   --metrics                Prometheus text exposition instead of JSON
-///
-/// Subcommand `watch`: periodic sampled deltas from the same port — fetches
-/// the daemon's latest `obs::Sampler` tick each interval and prints
-/// client-side rates for counters (and levels for gauges):
-///
+///   lamsdlc_cli status --port 47103 --pretty
 ///   lamsdlc_cli watch --port 47103 --interval-ms 1000
+///   lamsdlc_cli network --sats 112 --planes 8 --partitions 4
 ///
-/// Watch flags:
-///   --host HOST              [127.0.0.1] status address
-///   --port N                 status TCP port (required)
-///   --interval-ms MS         [1000] fetch cadence
-///   --count N                [0] stop after N reports (0 = until killed)
-///
-/// `network --sample-ms MS` adds the same periodic registry sampling to a
-/// constellation run's capture, so `inspect --timeline` works on PDES runs;
-/// samples are synthesized on the canonical merged stream and stay
-/// byte-identical at every --partitions value.
+/// `trace` exits 1 when any delivered packet lacks a complete span tree;
+/// `connect` exits 0 iff the bridge answered `OK <n>`.  A `network` run's
+/// report and artifacts are byte-identical at every --partitions value (the
+/// PDES identity contract; scripts/ci.sh holds the CLI to it with cmp).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "lamsdlc/analysis/model.hpp"
@@ -218,15 +70,71 @@
 namespace {
 
 using namespace lamsdlc;
+using namespace lamsdlc::tools;
 
 struct Options {
   sim::ScenarioConfig cfg;
   std::uint64_t frames = 1000;
-  double horizon_s = 600;
+  Time horizon = Time::seconds_int(600);
+  double pf = 0, pc = 0, ber = -1;  // ber < 0 and a zero burst: not set
+  Time burst{};
   bool csv = false;
   bool csv_header = false;
   bool analysis = false;
 };
+
+constexpr std::pair<const char*, sim::Protocol> kProtocols[] = {
+    {"lams", sim::Protocol::kLams},
+    {"sr", sim::Protocol::kSrHdlc},
+    {"gbn", sim::Protocol::kGbnHdlc},
+    {"nbdt", sim::Protocol::kNbdt}};
+
+const char* protocol_name(sim::Protocol p) {
+  for (const auto& [name, q] : kProtocols) {
+    if (q == p) return name;
+  }
+  return "?";
+}
+
+Flags scenario_flags(Options& o) {
+  sim::ScenarioConfig& c = o.cfg;
+  return {
+      {"--protocol", "NAME", "lams, sr, gbn or nbdt [lams]",
+       [&c](const char* v) {
+         for (const auto& [name, p] : kProtocols) {
+           if (std::string_view{v} == name) {
+             c.protocol = p;
+             return true;
+           }
+         }
+         return false;
+       },
+       "lams, sr, gbn or nbdt"},
+      num("--rate", "BPS", "data rate [300e6]", c.data_rate_bps, kAboveZero),
+      duration("--delay-ms", "MS", "one-way delay [10]", c.prop_delay, 1e-3),
+      num("--frame-bytes", "B", "frame payload [1024]", c.frame_bytes, 1),
+      num("--frames", "N", "batch size [1000]", o.frames, 1),
+      num("--pf", "P", "I-frame error probability [0]", o.pf, 0.0, 1.0),
+      num("--pc", "P", "control-frame error probability [0]", o.pc, 0.0, 1.0),
+      num("--ber", "B", "bit error rate, not --pf [off]", o.ber, 0.0, 1.0),
+      duration("--burst-ms", "MS", "mean error burst [off]", o.burst, 1e-3),
+      duration("--icp-ms", "MS", "LAMS checkpoint interval [5]",
+               c.lams.checkpoint_interval, 1e-3, true),
+      num("--cdepth", "K", "cumulation depth [4]", c.lams.cumulation_depth, 1),
+      also(num("--window", "W", "HDLC window, modulus 4W [64, modulus 128]",
+               c.hdlc.window, 1, (1u << 30) - 1),
+           [&c] { c.hdlc.modulus = 4 * c.hdlc.window; }),
+      duration("--timeout-ms", "MS", "HDLC t_out [120]", c.hdlc.timeout, 1e-3,
+               true),
+      num("--seed", "S", "random seed [1]", c.seed, 0),
+      set("--byte-level", "use the real byte codec", c.byte_level_wire, true),
+      duration("--horizon-s", "S", "simulation horizon [600]", o.horizon, 1.0),
+      set("--csv", "emit one CSV row instead of the report", o.csv, true),
+      also(set("--csv-header", "--csv with a header row", o.csv_header, true),
+           [&o] { o.csv = true; }),
+      set("--analysis", "also print Section 4 closed forms", o.analysis, true),
+  };
+}
 
 void print_subcommands(std::FILE* to) {
   std::fprintf(to,
@@ -263,176 +171,81 @@ void print_help() {
       "report (or a CSV row with --csv).\n"
       "\n");
   print_subcommands(stdout);
+  std::printf("\nflags with no subcommand:\n");
+  Options o;
+  print_flags(scenario_flags(o));
   std::printf(
-      "\n"
-      "Run `lamsdlc_cli <subcommand> --help` for that subcommand's flags;\n"
-      "the header of tools/lamsdlc_cli.cpp documents every flag.\n");
-}
-
-[[noreturn]] void usage_error(const std::string& what) {
-  std::fprintf(stderr, "lamsdlc_cli: %s (see the header of tools/lamsdlc_cli.cpp)\n",
-               what.c_str());
-  std::exit(2);
-}
-
-/// The value of the flag at argv[i], advancing \p i past it.
-const char* need(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) usage_error(std::string("missing value for ") + argv[i]);
-  return argv[++i];
+      "\nRun `lamsdlc_cli <subcommand> --help` for that subcommand's flags.\n");
 }
 
 Options parse(int argc, char** argv) {
   Options o;
-  double pf = 0, pc = 0, ber = -1, burst_ms = -1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--protocol") {
-      const std::string v = need(argc, argv, i);
-      if (v == "lams") {
-        o.cfg.protocol = sim::Protocol::kLams;
-      } else if (v == "sr") {
-        o.cfg.protocol = sim::Protocol::kSrHdlc;
-      } else if (v == "gbn") {
-        o.cfg.protocol = sim::Protocol::kGbnHdlc;
-      } else if (v == "nbdt") {
-        o.cfg.protocol = sim::Protocol::kNbdt;
-      } else {
-        usage_error("unknown protocol " + v);
-      }
-    } else if (a == "--rate") {
-      o.cfg.data_rate_bps = std::atof(need(argc, argv, i));
-    } else if (a == "--delay-ms") {
-      o.cfg.prop_delay = Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
-    } else if (a == "--frame-bytes") {
-      o.cfg.frame_bytes =
-          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
-    } else if (a == "--frames") {
-      o.frames = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-    } else if (a == "--pf") {
-      pf = std::atof(need(argc, argv, i));
-    } else if (a == "--pc") {
-      pc = std::atof(need(argc, argv, i));
-    } else if (a == "--ber") {
-      ber = std::atof(need(argc, argv, i));
-    } else if (a == "--burst-ms") {
-      burst_ms = std::atof(need(argc, argv, i));
-    } else if (a == "--icp-ms") {
-      o.cfg.lams.checkpoint_interval =
-          Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
-    } else if (a == "--cdepth") {
-      o.cfg.lams.cumulation_depth =
-          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
-    } else if (a == "--window") {
-      o.cfg.hdlc.window =
-          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
-      o.cfg.hdlc.modulus = 4 * o.cfg.hdlc.window;
-    } else if (a == "--timeout-ms") {
-      o.cfg.hdlc.timeout = Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
-    } else if (a == "--seed") {
-      o.cfg.seed = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-    } else if (a == "--byte-level") {
-      o.cfg.byte_level_wire = true;
-    } else if (a == "--horizon-s") {
-      o.horizon_s = std::atof(need(argc, argv, i));
-    } else if (a == "--csv") {
-      o.csv = true;
-    } else if (a == "--csv-header") {
-      o.csv = true;
-      o.csv_header = true;
-    } else if (a == "--analysis") {
-      o.analysis = true;
-    } else {
-      usage_error("unknown flag " + a);
-    }
-  }
-  if (ber >= 0) {
+  parse_flags(argc, argv, 1, "lamsdlc_cli",
+              "[flags]\nRuns one scenario; `lamsdlc_cli --help` alone also "
+              "lists the subcommands.",
+              scenario_flags(o));
+  if (o.ber >= 0) {
     o.cfg.forward_error.kind = sim::ErrorConfig::Kind::kBernoulliBer;
-    o.cfg.forward_error.ber = ber;
+    o.cfg.forward_error.ber = o.ber;
     o.cfg.reverse_error = o.cfg.forward_error;
-  } else if (burst_ms > 0) {
+  } else if (o.burst > Time{}) {
     o.cfg.forward_error.kind = sim::ErrorConfig::Kind::kGilbertElliott;
-    o.cfg.forward_error.gilbert.mean_bad = Time::seconds(burst_ms * 1e-3);
+    o.cfg.forward_error.gilbert.mean_bad = o.burst;
     o.cfg.reverse_error = o.cfg.forward_error;
-  } else if (pf > 0 || pc > 0) {
+  } else if (o.pf > 0 || o.pc > 0) {
     o.cfg.forward_error.kind = sim::ErrorConfig::Kind::kFixedFrameProb;
-    o.cfg.forward_error.p_frame = pf;
-    o.cfg.forward_error.p_control = pc;
+    o.cfg.forward_error.p_frame = o.pf;
+    o.cfg.forward_error.p_control = o.pc;
     o.cfg.reverse_error.kind = sim::ErrorConfig::Kind::kFixedFrameProb;
-    o.cfg.reverse_error.p_frame = pc;
-    o.cfg.reverse_error.p_control = pc;
+    o.cfg.reverse_error.p_frame = o.pc;
+    o.cfg.reverse_error.p_control = o.pc;
   }
   // Keep the LAMS failure budget consistent with the configured delay.
   o.cfg.lams.max_rtt = o.cfg.prop_delay * 2 + Time::milliseconds(5);
   return o;
 }
 
-const char* protocol_name(sim::Protocol p) {
-  switch (p) {
-    case sim::Protocol::kLams:
-      return "lams";
-    case sim::Protocol::kSrHdlc:
-      return "sr";
-    case sim::Protocol::kGbnHdlc:
-      return "gbn";
-    case sim::Protocol::kNbdt:
-      return "nbdt";
-  }
-  return "?";
+/// The chaos knobs, shared by `chaos`, `capture` and live `trace`.
+Flags chaos_flags(sim::ChaosKnobs& k) {
+  return {
+      num("--seed", "S", "schedule seed, the first of a sweep [1]", k.seed, 0),
+      num("--packets", "N", "workload size per run [200]", k.packets, 1),
+      set("--reverse-only", "faults attack only the checkpoint path",
+          k.allow_forward_faults, false),
+      set("--forward-only", "faults attack only the I-frame path",
+          k.allow_reverse_faults, false),
+      set("--no-outage", "never schedule a full link outage",
+          k.allow_link_outage, false),
+      set("--no-suppress-duplicates", "ablation: deliver stale frames",
+          k.suppress_duplicates, false),
+      num("--reverse-noise", "P", "pin the checkpoint-path error rate [drawn]",
+          k.reverse_noise, 0.0, 1.0),
+      duration("--reverse-outage-from-ms", "MS", "reverse outage start [0]",
+               k.reverse_outage_from, 1e-3),
+      duration("--reverse-outage-ms", "MS", "reverse outage length [0]",
+               k.reverse_outage_len, 1e-3),
+      set("--self-heal", "self-audit, watchdog, RESYNC on", k.self_heal, true),
+  };
 }
 
-/// Parse one chaos-style flag at argv[i]; shared between `chaos` and
-/// `capture`.  Returns false when the flag is not a chaos knob.
-bool parse_chaos_flag(int argc, char** argv, int& i, sim::ChaosKnobs& knobs) {
-  const std::string a = argv[i];
-  if (a == "--help" || a == "-h") {
-    std::printf("flags for this subcommand: see the header of "
-                "tools/lamsdlc_cli.cpp\n");
-    std::exit(0);
-  }
-  if (a == "--seed") {
-    knobs.seed = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-  } else if (a == "--packets") {
-    knobs.packets = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-  } else if (a == "--reverse-only") {
-    knobs.allow_forward_faults = false;
-  } else if (a == "--forward-only") {
-    knobs.allow_reverse_faults = false;
-  } else if (a == "--no-outage") {
-    knobs.allow_link_outage = false;
-  } else if (a == "--no-suppress-duplicates") {
-    knobs.suppress_duplicates = false;
-  } else if (a == "--reverse-noise") {
-    knobs.reverse_noise = std::atof(need(argc, argv, i));
-  } else if (a == "--reverse-outage-from-ms") {
-    knobs.reverse_outage_from =
-        Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
-  } else if (a == "--reverse-outage-ms") {
-    knobs.reverse_outage_len =
-        Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
-  } else if (a == "--self-heal") {
-    knobs.self_heal = true;
-  } else {
-    return false;
-  }
-  return true;
+/// `--seeds` and `--jobs` of a seed sweep; the output is the same for any
+/// --jobs.
+Flags sweep_flags(std::uint64_t& seeds, unsigned& jobs) {
+  return {num("--seeds", "N", "number of consecutive seeds [1]", seeds, 0),
+          num("--jobs", "N", "worker threads, 0 = all cores [1]", jobs, 0)};
+}
+
+Flag sample_flag(Time& period) {
+  return duration("--sample-ms", "MS", "registry snapshot period [0 = off]",
+                  period, 1e-3);
 }
 
 int run_chaos_command(int argc, char** argv) {
   sim::ChaosKnobs knobs;
   std::uint64_t seeds = 1;
   unsigned jobs = 1;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (parse_chaos_flag(argc, argv, i, knobs)) continue;
-    if (a == "--seeds") {
-      seeds = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-    } else if (a == "--jobs") {
-      // 0 = all cores
-      jobs = static_cast<unsigned>(std::atoi(need(argc, argv, i)));
-    } else {
-      usage_error("unknown chaos flag " + a);
-    }
-  }
+  parse_flags(argc, argv, 2, "lamsdlc_cli chaos", "[flags]",
+              chaos_flags(knobs) + sweep_flags(seeds, jobs));
 
   // Seeds are independent simulations; the sweep returns verdicts in seed
   // order, so the output below is identical whatever --jobs is.
@@ -478,45 +291,25 @@ int run_corrupt_state_command(int argc, char** argv) {
   std::uint64_t seeds = 1;
   unsigned jobs = 1;
   bool repro = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--corrupt-state") continue;
-    if (a == "--help" || a == "-h") {
-      std::printf("flags for this subcommand: see the header of "
-                  "tools/lamsdlc_cli.cpp\n");
-      return 0;
-    }
-    if (a == "--seed") {
-      knobs.seed = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-    } else if (a == "--seeds") {
-      seeds = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-    } else if (a == "--jobs") {
-      // 0 = all cores
-      jobs = static_cast<unsigned>(std::atoi(need(argc, argv, i)));
-    } else if (a == "--packets") {
-      knobs.packets =
-          static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-    } else if (a == "--injections") {
-      knobs.injections =
-          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
-    } else if (a == "--no-sender") {
-      knobs.allow_sender = false;
-    } else if (a == "--no-receiver") {
-      knobs.allow_receiver = false;
-    } else if (a == "--no-state-loss") {
-      knobs.allow_state_loss = false;
-    } else if (a == "--no-noise") {
-      knobs.background_noise = false;
-    } else if (a == "--no-self-heal") {
-      knobs.self_heal = false;
-    } else if (a == "--fault-scale") {
-      knobs.scale = std::atof(need(argc, argv, i));
-    } else if (a == "--repro") {
-      repro = true;
-    } else {
-      usage_error("unknown verify --corrupt-state flag " + a);
-    }
-  }
+  const Flags rows{
+      {"--corrupt-state", nullptr, "this state-corruption tier",
+       [](const char*) { return true; }},
+      num("--seed", "S", "first (or only) seed [1]", knobs.seed, 0),
+      num("--packets", "N", "workload size per run [120]", knobs.packets, 1),
+      num("--injections", "N", "pin the injection count [0 = draw 1..4]",
+          knobs.injections, 0),
+      set("--no-sender", "spare the sender", knobs.allow_sender, false),
+      set("--no-receiver", "spare the receiver", knobs.allow_receiver, false),
+      set("--no-state-loss", "never destroy an in-flight slot outright",
+          knobs.allow_state_loss, false),
+      set("--no-noise", "no wire noise", knobs.background_noise, false),
+      set("--no-self-heal", "ablation: self-audit, watchdog, RESYNC off",
+          knobs.self_heal, false),
+      num("--fault-scale", "X", "warp multiplier [1.0]", knobs.scale, 0.0),
+      set("--repro", "print one seed's transcript verbatim", repro, true),
+  };
+  parse_flags(argc, argv, 2, "lamsdlc_cli verify --corrupt-state", "[flags]",
+              rows + sweep_flags(seeds, jobs));
 
   if (repro || seeds == 1) {
     const verif::CorruptVerdict v = verif::run_corrupt(knobs);
@@ -559,53 +352,27 @@ int run_verify_command(int argc, char** argv) {
   unsigned jobs = 1;
   std::uint64_t fuzz_iters = 10000;
   bool repro = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      std::printf("flags for this subcommand: see the header of "
-                  "tools/lamsdlc_cli.cpp\n");
-      return 0;
-    }
-    if (a == "--seed") {
-      knobs.seed = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-    } else if (a == "--seeds") {
-      seeds = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-    } else if (a == "--jobs") {
-      // 0 = all cores
-      jobs = static_cast<unsigned>(std::atoi(need(argc, argv, i)));
-    } else if (a == "--fuzz") {
-      fuzz_iters = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-    } else if (a == "--modulus") {
-      knobs.modulus =
-          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
-    } else if (a == "--cdepth") {
-      knobs.c_depth =
-          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
-    } else if (a == "--packets") {
-      knobs.packets =
-          static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-    } else if (a == "--fault-scale") {
-      knobs.fault_scale = std::atof(need(argc, argv, i));
-    } else if (a == "--no-faults") {
-      knobs.faults = false;
-    } else if (a == "--no-congestion") {
-      knobs.congestion = false;
-    } else if (a == "--no-outage") {
-      knobs.outage = false;
-    } else if (a == "--no-reverse") {
-      knobs.reverse_faults = false;
-    } else if (a == "--no-byte-level") {
-      knobs.byte_level = false;
-    } else if (a == "--no-differential") {
-      knobs.differential = false;
-    } else if (a == "--no-analysis") {
-      knobs.analysis_check = false;
-    } else if (a == "--repro") {
-      repro = true;
-    } else {
-      usage_error("unknown verify flag " + a);
-    }
-  }
+  const Flags rows{
+      num("--seed", "S", "first (or only) seed [1]", knobs.seed, 0),
+      num("--fuzz", "N", "codec fuzz cases, 0 = none [10000]", fuzz_iters, 0),
+      num("--modulus", "M", "pin numbering size [0 = draw]", knobs.modulus, 0),
+      num("--cdepth", "C", "pin cumulation depth [0 = draw]", knobs.c_depth, 0),
+      num("--packets", "P", "pin workload size [0 = draw]", knobs.packets, 0),
+      num("--fault-scale", "X", "fault window scale [1.0]", knobs.fault_scale,
+          0.0),
+      set("--no-faults", "drop fault-injector episodes", knobs.faults, false),
+      set("--no-congestion", "drop congestion draws", knobs.congestion, false),
+      set("--no-outage", "drop link outages", knobs.outage, false),
+      set("--no-reverse", "no checkpoint faults", knobs.reverse_faults, false),
+      set("--no-byte-level", "no byte-level wire", knobs.byte_level, false),
+      set("--no-differential", "no SR/GBN oracle", knobs.differential, false),
+      set("--no-analysis", "skip the closed-form model check",
+          knobs.analysis_check, false),
+      set("--repro", "print one seed's full transcript", repro, true),
+  };
+  parse_flags(argc, argv, 2, "lamsdlc_cli verify",
+              "[flags]  (--corrupt-state: the state-corruption tier)",
+              rows + sweep_flags(seeds, jobs));
 
   if (repro) {
     // Exact single-run replay: no shrinking, full transcript either way.
@@ -659,18 +426,12 @@ int run_verify_command(int argc, char** argv) {
 int run_capture_command(int argc, char** argv) {
   sim::ChaosKnobs knobs;
   std::string out;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (parse_chaos_flag(argc, argv, i, knobs)) continue;
-    if (a == "--out") {
-      out = need(argc, argv, i);
-    } else if (a == "--sample-ms") {
-      knobs.sample_period =
-          Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
-    } else {
-      usage_error("unknown capture flag " + a);
-    }
-  }
+  const Flags rows{
+      text("--out", "FILE", "capture file [chaos-seed-S.ldlcap]", out),
+      sample_flag(knobs.sample_period),
+  };
+  parse_flags(argc, argv, 2, "lamsdlc_cli capture", "[flags]",
+              chaos_flags(knobs) + rows);
   if (out.empty()) {
     out = "chaos-seed-" + std::to_string(knobs.seed) + ".ldlcap";
   }
@@ -846,46 +607,36 @@ int run_inspect_command(int argc, char** argv) {
   std::optional<obs::Source> source;
   double from_ms = -1, to_ms = -1, bucket_ms = 0;
   std::uint64_t limit = 0;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      std::printf("flags for this subcommand: see the header of "
-                  "tools/lamsdlc_cli.cpp\n");
-      return 0;
-    }
-    if (a == "--json") {
-      json = true;
-    } else if (a == "--summary") {
-      summary = true;
-    } else if (a == "--timeline") {
-      timeline = true;
-    } else if (a == "--bucket-ms") {
-      bucket_ms = std::atof(need(argc, argv, i));
-      if (bucket_ms <= 0) usage_error("--bucket-ms must be positive");
-    } else if (a == "--kind") {
-      const std::string v = need(argc, argv, i);
-      kind = obs::kind_from_string(v);
-      if (!kind) usage_error("unknown event kind " + v);
-    } else if (a == "--source") {
-      const std::string v = need(argc, argv, i);
-      source = obs::source_from_string(v);
-      if (!source) usage_error("unknown source " + v);
-    } else if (a == "--from-ms") {
-      from_ms = std::atof(need(argc, argv, i));
-    } else if (a == "--to-ms") {
-      to_ms = std::atof(need(argc, argv, i));
-    } else if (a == "--limit") {
-      limit = static_cast<std::uint64_t>(std::atoll(need(argc, argv, i)));
-    } else if (!a.empty() && a[0] != '-' && file.empty()) {
-      file = a;
-    } else {
-      usage_error("unknown inspect flag " + a);
-    }
-  }
-  if (file.empty()) usage_error("inspect needs a capture file argument");
+  const char* prog = "lamsdlc_cli inspect";
+  const Flags rows{
+      set("--json", "one JSON object per record [text]", json, true),
+      set("--summary", "per-kind/per-source counts only", summary, true),
+      set("--timeline", "time-bucketed table instead of records", timeline,
+          true),
+      num("--bucket-ms", "MS", "timeline bucket [span/20, >= 1]", bucket_ms,
+          kAboveZero),
+      {"--kind", "NAME", "keep only this event kind",
+       [&kind](const char* v) {
+         kind = obs::kind_from_string(v);
+         return kind.has_value();
+       },
+       "an event kind name"},
+      {"--source", "NAME", "keep only this source (e.g. lams.sender)",
+       [&source](const char* v) {
+         source = obs::source_from_string(v);
+         return source.has_value();
+       },
+       "a source name"},
+      num("--from-ms", "MS", "keep records at t >= MS", from_ms, 0.0),
+      num("--to-ms", "MS", "keep records at t < MS", to_ms, 0.0),
+      num("--limit", "N", "stop after printing N records [0 = all]", limit, 0),
+  };
+  parse_flags(argc, argv, 2, prog, "FILE [flags]", rows, &file);
+  if (file.empty()) usage_error(prog, "inspect needs a capture file argument");
   if (from_ms >= 0 && to_ms >= 0 && from_ms > to_ms) {
-    usage_error("empty time filter: --from-ms " + std::to_string(from_ms) +
-                " is after --to-ms " + std::to_string(to_ms));
+    usage_error(prog, "empty time filter: --from-ms " +
+                          std::to_string(from_ms) + " is after --to-ms " +
+                          std::to_string(to_ms));
   }
 
   std::ifstream is{file, std::ios::binary};
@@ -963,41 +714,37 @@ int run_inspect_command(int argc, char** argv) {
 int run_trace_command(int argc, char** argv) {
   sim::ChaosKnobs knobs;
   std::string file, perfetto_out, explain_arg;
+  std::optional<std::uint64_t> explain_id;
   bool dump = false;
   bool live_flags = false;
   bool corrupt_state = false;
   std::uint32_t corrupt_injections = 0;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (parse_chaos_flag(argc, argv, i, knobs)) {
-      live_flags = true;
-      continue;
-    }
-    if (a == "--corrupt-state") {
-      corrupt_state = true;
-      live_flags = true;
-    } else if (a == "--injections") {
-      corrupt_injections =
-          static_cast<std::uint32_t>(std::atoi(need(argc, argv, i)));
-      live_flags = true;
-    } else if (a == "--sample-ms") {
-      knobs.sample_period =
-          Time::seconds(std::atof(need(argc, argv, i)) * 1e-3);
-      live_flags = true;
-    } else if (a == "--perfetto") {
-      perfetto_out = need(argc, argv, i);
-    } else if (a == "--explain") {
-      explain_arg = need(argc, argv, i);
-    } else if (a == "--dump") {
-      dump = true;
-    } else if (!a.empty() && a[0] != '-' && file.empty()) {
-      file = a;
-    } else {
-      usage_error("unknown trace flag " + a);
-    }
-  }
+  const char* prog = "lamsdlc_cli trace";
+  Flags live = chaos_flags(knobs) + Flags{
+      sample_flag(knobs.sample_period),
+      set("--corrupt-state", "live run uses the state-corruption tier",
+          corrupt_state, true),
+      num("--injections", "N", "pin the corrupt-state injections [0 = draw]",
+          corrupt_injections, 0),
+  };
+  for (Flag& f : live) f = also(std::move(f), [&] { live_flags = true; });
+  const Flags rows{
+      text("--perfetto", "FILE", "write Chrome trace-event JSON",
+           perfetto_out),
+      {"--explain", "ID|worst", "print one packet's causal story",
+       [&](const char* v) {
+         explain_arg = v;
+         explain_id = parse_number<std::uint64_t>(v);
+         return explain_id || explain_arg == "worst";
+       },
+       "a packet id or worst"},
+      set("--dump", "print the canonical reconstruction dump", dump, true),
+  };
+  parse_flags(argc, argv, 2, prog, "[FILE | live chaos flags] [flags]",
+              live + rows, &file);
   if (!file.empty() && live_flags) {
-    usage_error("trace takes a capture file OR live chaos flags, not both");
+    usage_error(prog,
+                "trace takes a capture file OR live chaos flags, not both");
   }
 
   obs::TraceBuilder tb;
@@ -1088,10 +835,7 @@ int run_trace_command(int argc, char** argv) {
   }
 
   if (!explain_arg.empty()) {
-    const obs::PacketTrace* t =
-        explain_arg == "worst"
-            ? tb.worst()
-            : tb.find(static_cast<std::uint64_t>(std::atoll(explain_arg.c_str())));
+    const obs::PacketTrace* t = explain_id ? tb.find(*explain_id) : tb.worst();
     if (t == nullptr) {
       std::fprintf(stderr, "lamsdlc_cli: no trace for packet '%s'\n",
                    explain_arg.c_str());
@@ -1119,29 +863,28 @@ int run_trace_command(int argc, char** argv) {
 // ---------------------------------------------------------------------------
 // `connect` — bridge client (modem discipline: stream, half-close, status).
 
+/// Parses a daemon client's `--host`, its required `--port`, and \p rows.
+void parse_client(int argc, char** argv, const char* prog,
+                  const char* synopsis, std::string& host, std::uint16_t& port,
+                  const Flags& rows) {
+  const Flags endpoint{
+      text("--host", "HOST", "daemon address [127.0.0.1]", host),
+      num("--port", "N", "daemon TCP port (required)", port, 1, 65535),
+  };
+  parse_flags(argc, argv, 2, prog, synopsis, endpoint + rows);
+  if (port == 0) usage_error(prog, "--port is required");
+}
+
 int run_connect_command(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::string in_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--host") {
-      host = need(argc, argv, i);
-    } else if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(need(argc, argv, i)));
-    } else if (a == "--in") {
-      in_path = need(argc, argv, i);
-    } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "usage: lamsdlc_cli connect --port N [--host HOST] [--in FILE]\n"
-          "Streams stdin (or FILE) to a daemon's bridge, half-closes, and\n"
-          "waits for the OK/ERR status line.  Exits 0 iff OK.\n");
-      return 0;
-    } else {
-      usage_error("unknown connect flag " + a);
-    }
-  }
-  if (port == 0) usage_error("connect wants --port");
+  parse_client(argc, argv, "lamsdlc_cli connect",
+               "--port N [flags]\nStreams stdin (or FILE) to a daemon's "
+               "bridge, half-closes, and waits for\nthe OK/ERR status line.  "
+               "Exits 0 iff OK.",
+               host, port,
+               {text("--in", "FILE", "bytes to send [stdin]", in_path)});
 
   std::FILE* in = stdin;
   if (!in_path.empty()) {
@@ -1254,28 +997,16 @@ int run_status_command(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   std::string verb = "status";
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--host") {
-      host = need(argc, argv, i);
-    } else if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(need(argc, argv, i)));
-    } else if (a == "--pretty") {
-      verb = "text";
-    } else if (a == "--metrics") {
-      verb = "metrics";
-    } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "usage: lamsdlc_cli status --port N [--host HOST] "
-          "[--pretty|--metrics]\n"
-          "One-shot snapshot of a live daemon's introspection port\n"
-          "(lamsdlcd --status).  Default output is one JSON line.\n");
-      return 0;
-    } else {
-      usage_error("unknown status flag " + a);
-    }
-  }
-  if (port == 0) usage_error("status wants --port");
+  const Flags rows{
+      set("--pretty", "server-rendered table instead of JSON", verb, "text"),
+      set("--metrics", "Prometheus exposition instead of JSON", verb,
+          "metrics"),
+  };
+  parse_client(argc, argv, "lamsdlc_cli status",
+               "--port N [flags]\nOne-shot snapshot of a live daemon's "
+               "introspection port (lamsdlcd --status).\nDefault output is "
+               "one JSON line.",
+               host, port, rows);
   const auto resp = fetch_status(host, port, verb);
   if (!resp.has_value()) {
     std::fprintf(stderr, "lamsdlc_cli: cannot reach status port %s:%u\n",
@@ -1311,29 +1042,15 @@ int run_watch_command(int argc, char** argv) {
   std::uint16_t port = 0;
   long interval_ms = 1000;
   long count = 0;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--host") {
-      host = need(argc, argv, i);
-    } else if (a == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(need(argc, argv, i)));
-    } else if (a == "--interval-ms") {
-      interval_ms = std::atol(need(argc, argv, i));
-      if (interval_ms <= 0) usage_error("--interval-ms must be positive");
-    } else if (a == "--count") {
-      count = std::atol(need(argc, argv, i));
-    } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "usage: lamsdlc_cli watch --port N [--host HOST] "
-          "[--interval-ms MS] [--count N]\n"
-          "Fetches the daemon's latest sampler tick each interval and prints\n"
-          "counter rates (computed client-side) and gauge levels.\n");
-      return 0;
-    } else {
-      usage_error("unknown watch flag " + a);
-    }
-  }
-  if (port == 0) usage_error("watch wants --port");
+  const Flags rows{
+      num("--interval-ms", "MS", "fetch cadence [1000]", interval_ms, 1),
+      num("--count", "N", "stop after N reports [0 = never]", count, 0),
+  };
+  parse_client(argc, argv, "lamsdlc_cli watch",
+               "--port N [flags]\nFetches the daemon's latest sampler tick "
+               "each interval and prints counter\nrates (computed "
+               "client-side) and gauge levels.",
+               host, port, rows);
 
   // name -> value at the previous *sampler* tick; rates divide by sampler
   // tick spacing (t_ps delta), not our fetch interval — the two cadences
@@ -1359,10 +1076,10 @@ int run_watch_command(int argc, char** argv) {
       const auto value = json_field(line, "value");
       const auto t_ps = json_field(line, "t_ps");
       if (!name || !value || !t_ps) continue;
-      t_s = std::atof(t_ps->c_str()) * 1e-12;
+      t_s = parse_number<double>(*t_ps).value_or(0.0) * 1e-12;
       const bool is_counter =
           json_field(line, "is_counter").value_or("false") == "true";
-      tick[*name] = {std::atof(value->c_str()), is_counter};
+      tick[*name] = {parse_number<double>(*value).value_or(0.0), is_counter};
     }
     if (t_s < 0) {
       std::printf("-- no samples yet (sampler warming up or disabled)\n");
@@ -1391,101 +1108,58 @@ int run_watch_command(int argc, char** argv) {
       ++n;
       if (count != 0 && n >= count) break;
     }
-    ::usleep(static_cast<useconds_t>(interval_ms) * 1000);
+    std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
   }
   return 0;
 }
 
 // ---------------------------------------------------------------------------
-// `network`: Walker-constellation multi-hop run via sim::run_network.
-//
-//   lamsdlc_cli network --sats 112 --planes 8 --partitions 4
-//       --waves 20 --packets-per-wave 100 --horizon-s 600 --seed 1
-//
-// Flags (defaults in brackets):
-//   --sats N              [112]   Walker total satellites
-//   --planes P            [8]     Walker planes (sats % planes == 0)
-//   --partitions K        [1]     PDES logical processes (1 = serial)
-//   --waves W             [20]    traffic bursts
-//   --packets-per-wave N  [100]   packets per burst
-//   --packet-bytes B      [1024]
-//   --message-segments S  [0]     also inject one S-segment message per wave
-//   --wave-interval-ms MS [1000]
-//   --horizon-s S         [600]
-//   --max-range-km KM     [8000]  ISL acquisition range (smaller => churn)
-//   --seed S              [1]
-//   --pf P                [0]     per-channel I-frame error probability
-//   --pc P                [0]     per-channel control error probability
-//   --observe             [off]   collect metrics + capture artifacts
-//   --sample-ms MS        [off]   periodic registry samples in the capture,
-//                                 synthesized on the canonical merged stream
-//                                 (implies --observe; partition-invariant)
-//   --metrics-out FILE    write the metrics registry JSON (implies --observe)
-//   --capture-out FILE    write the raw .ldlcap bytes (implies --observe)
-//
-// The printed report and both artifact files are byte-identical at every
+// `network`: Walker-constellation multi-hop run via sim::run_network.  The
+// printed report and both artifact files are byte-identical at every
 // --partitions value — the PDES identity contract; scripts/ci.sh holds the
 // CLI to it with cmp.
 int run_network_command(int argc, char** argv) {
   sim::NetworkRunConfig cfg;
   std::string metrics_out;
   std::string capture_out;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      std::printf("flags for this subcommand: see the header of "
-                  "tools/lamsdlc_cli.cpp (run_network_command)\n");
-      return 0;
-    } else if (a == "--sats") {
-      cfg.satellites =
-          static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
-    } else if (a == "--planes") {
-      cfg.planes = static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
-    } else if (a == "--partitions") {
-      cfg.partitions = std::stoul(need(argc, argv, i));
-    } else if (a == "--waves") {
-      cfg.waves = static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
-    } else if (a == "--packets-per-wave") {
-      cfg.packets_per_wave =
-          static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
-    } else if (a == "--packet-bytes") {
-      cfg.packet_bytes =
-          static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
-    } else if (a == "--message-segments") {
-      cfg.message_segments =
-          static_cast<std::uint32_t>(std::stoul(need(argc, argv, i)));
-    } else if (a == "--wave-interval-ms") {
-      cfg.wave_interval = Time::milliseconds(std::stol(need(argc, argv, i)));
-    } else if (a == "--horizon-s") {
-      cfg.horizon = Time::seconds(std::stod(need(argc, argv, i)));
-    } else if (a == "--max-range-km") {
-      cfg.max_range_m = std::stod(need(argc, argv, i)) * 1e3;
-    } else if (a == "--seed") {
-      cfg.seed = std::stoull(need(argc, argv, i));
-    } else if (a == "--pf") {
-      cfg.p_frame = std::stod(need(argc, argv, i));
-    } else if (a == "--pc") {
-      cfg.p_control = std::stod(need(argc, argv, i));
-    } else if (a == "--observe") {
-      cfg.observe = true;
-    } else if (a == "--sample-ms") {
-      cfg.sample_period = Time::milliseconds(std::stol(need(argc, argv, i)));
-      cfg.observe = true;
-    } else if (a == "--metrics-out") {
-      metrics_out = need(argc, argv, i);
-      cfg.observe = true;
-    } else if (a == "--capture-out") {
-      capture_out = need(argc, argv, i);
-      cfg.observe = true;
-    } else {
-      usage_error("unknown network flag " + a);
-    }
+  double range_km = 0;
+  const auto observe = [&cfg] { cfg.observe = true; };
+  const char* prog = "lamsdlc_cli network";
+  const Flags rows{
+      num("--sats", "N", "Walker total satellites [112]", cfg.satellites, 1),
+      num("--planes", "P", "Walker planes, dividing --sats [8]", cfg.planes, 1),
+      num("--partitions", "K", "PDES partitions, 1 = serial [1]",
+          cfg.partitions, 1),
+      num("--waves", "W", "traffic bursts [20]", cfg.waves, 1),
+      num("--packets-per-wave", "N", "packets per burst [100]",
+          cfg.packets_per_wave, 1),
+      num("--packet-bytes", "B", "packet size [1024]", cfg.packet_bytes, 1),
+      num("--message-segments", "S", "one S-segment message per wave [0]",
+          cfg.message_segments, 0),
+      duration("--wave-interval-ms", "MS", "time between bursts [1000]",
+               cfg.wave_interval, 1e-3),
+      duration("--horizon-s", "S", "simulation horizon [600]", cfg.horizon,
+               1.0),
+      also(num("--max-range-km", "KM", "ISL range, smaller => churn [8000]",
+               range_km, 0.0),
+           [&] { cfg.max_range_m = range_km * 1e3; }),
+      num("--seed", "S", "random seed [1]", cfg.seed, 0),
+      num("--pf", "P", "I-frame error probability [0]", cfg.p_frame, 0.0, 1.0),
+      num("--pc", "P", "control error probability [0]", cfg.p_control, 0.0,
+          1.0),
+      set("--observe", "collect metrics + capture artifacts", cfg.observe,
+          true),
+      also(sample_flag(cfg.sample_period), observe),
+      also(text("--metrics-out", "FILE", "metrics JSON file", metrics_out),
+           observe),
+      also(text("--capture-out", "FILE", ".ldlcap capture file", capture_out),
+           observe),
+  };
+  parse_flags(argc, argv, 2, prog, "[flags]  (the last three imply --observe)",
+              rows);
+  if (cfg.satellites % cfg.planes != 0) {
+    usage_error(prog, "--sats must be a multiple of --planes");
   }
-  if (cfg.satellites == 0 || cfg.planes == 0 ||
-      cfg.satellites % cfg.planes != 0) {
-    usage_error("--sats must be a positive multiple of --planes");
-  }
-  if (cfg.partitions == 0) usage_error("--partitions must be >= 1");
 
   const sim::NetworkRunResult r = sim::run_network(cfg);
 
@@ -1551,7 +1225,7 @@ int main(int argc, char** argv) {
     if (cmd == "status") return run_status_command(argc, argv);
     if (cmd == "watch") return run_watch_command(argc, argv);
     if (cmd == "network") return run_network_command(argc, argv);
-    if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+    if (is_help(cmd) || cmd == "help") {
       print_help();
       return 0;
     }
@@ -1569,7 +1243,7 @@ int main(int argc, char** argv) {
   sim::Scenario s{o.cfg};
   workload::submit_batch(s.simulator(), s.sender(), s.tracker(), s.ids(),
                          o.frames, o.cfg.frame_bytes);
-  const bool done = s.run_to_completion(Time::seconds(o.horizon_s));
+  const bool done = s.run_to_completion(o.horizon);
   const auto r = s.report();
 
   if (o.csv) {
