@@ -1,13 +1,12 @@
 #pragma once
 /// \file kernel_workloads.hpp
 /// \brief The three canonical event-kernel workloads timed by
-/// `bench_kernel --json` and recorded in BENCH_kernel.json.
+/// `bench_kernel` and recorded in BENCH_ledger.jsonl.
 ///
 /// They are defined here (header-only, against the public Simulator API
 /// only) so the exact same code can be timed against any kernel revision:
-/// the baseline numbers in BENCH_kernel.json were produced by building this
-/// file against the pre-overhaul `std::priority_queue` + `unordered_map`
-/// kernel.
+/// the ledger's pre-overhaul kernel row was produced by building this file
+/// against the `std::priority_queue` + `unordered_map` kernel.
 ///
 ///  - schedule_fire : N one-shot events scheduled up front, then drained.
 ///    Measures the pure schedule+dispatch path (one op = one event).

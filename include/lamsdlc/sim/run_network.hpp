@@ -3,8 +3,8 @@
 /// \brief One-call constellation-scale network run: Walker geometry, contact
 ///        churn, seeded traffic, optional PDES partitioning.
 ///
-/// `run_network` is the driver behind `lamsdlc_cli network` and
-/// `bench_network`: it builds a Walker-delta constellation, derives its
+/// `run_network` is the driver behind `lamsdlc_cli network` and the PDES
+/// identity tests: it builds a Walker-delta constellation, derives its
 /// contact plan, wires one LAMS link per grid pair (up only inside its
 /// visibility windows — links fail and fail over as geometry churns), injects
 /// a seeded traffic schedule through `Network::at` global operations, and

@@ -106,6 +106,18 @@ TEST(PdesIdentity, ContactChurnWithFailover) {
   expect_partition_invariant(cfg, {2, 4});
 }
 
+/// The full default constellation (112 satellites in 8 planes of 14, 224
+/// ISLs) cut into 7 blocks of 16 satellites, so every partition boundary
+/// falls inside a plane.  The other tests stop at 4 partitions and 32
+/// satellites.
+TEST(PdesIdentity, FullWalkerSevenPartitions) {
+  NetworkRunConfig cfg;
+  cfg.waves = 2;
+  cfg.packets_per_wave = 300;
+  cfg.horizon = Time::seconds_int(30);
+  expect_partition_invariant(cfg, {7});
+}
+
 /// Timeline sampling (`--sample-ms`): the synthesized kMetricSample ticks
 /// ride the canonical merged stream, so a sampled capture must stay
 /// byte-identical at every partition count — and must actually contain the
