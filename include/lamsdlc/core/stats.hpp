@@ -83,15 +83,18 @@ class TimeWeightedStat {
 };
 
 /// Exact sorted-sample quantiles (nearest-rank): collect raw samples, read
-/// p50/p90/p99 at the end.  Shared by the obs metrics exporter and the bench
-/// tables; samples are kept (8 bytes each), so use it where the sample count
-/// is bounded by the run, not by wall-clock — for unbounded streams prefer
-/// `Histogram`.
+/// p50/p90/p99 at the end.  Every sample is kept (8 bytes each) and a read
+/// after new samples sorts them all.  This is `obs::LogHistogram`'s exact
+/// regime, which it leaves at a fixed sample count for bounded buckets, and
+/// the oracle its tests check those buckets against; use it directly only
+/// where the run, not the wall clock, bounds the sample count.
 class Percentiles {
  public:
   void add(double x) { samples_.push_back(x); sorted_ = samples_.size() < 2; }
 
   [[nodiscard]] std::size_t count() const noexcept { return samples_.size(); }
+  /// The retained samples, in no particular order.
+  [[nodiscard]] const std::vector<double>& samples() const noexcept { return samples_; }
 
   /// Nearest-rank quantile, q in [0, 1]: the ceil(q·n)-th smallest sample
   /// (clamped so q=0 is the minimum and q=1 the maximum).  0.0 when empty.

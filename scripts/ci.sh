@@ -23,9 +23,10 @@
 #      partitioned through the CLI — metrics JSON and capture bytes must be
 #      identical (gating).
 #
-#   The live interop smoke (between 6 and 7) additionally gates on the
-#   daemon's introspection endpoint: a mid-transfer `status` query must
-#   parse as JSON with nonzero session counters.
+#   The live interop smoke (between 6 and 7) additionally gates on both
+#   daemons' introspection endpoints: a mid-transfer `status` query must
+#   parse as JSON with nonzero session counters, and every histogram in it
+#   must read min <= p50 <= p90 <= p99 <= max.
 #
 # Usage: scripts/ci.sh [build-dir]       (default build/)
 
@@ -85,16 +86,19 @@ echo "== live loopback interop smoke (gating) =="
 DAEMON="$BUILD_DIR/tools/lamsdlcd"
 LIVEDIR="$CAPDIR/live"
 mkdir -p "$LIVEDIR"
+# --status on both daemons so their introspection ports can be queried
+# live (the receiver's is the only CI path whose collectors see receiver
+# events alone); --rate slows the modeled serialization enough that
+# "mid-transfer" is an observable window rather than a race (the ARQ gate
+# below is rate-blind).
 timeout 60 "$DAEMON" --deliver-dir "$LIVEDIR" --exit-after-streams 2 \
-  > "$LIVEDIR/recv.log" &
+  --status > "$LIVEDIR/recv.log" &
 RECV_PID=$!
 for _ in $(seq 100); do
   grep -q '^ready' "$LIVEDIR/recv.log" 2>/dev/null && break; sleep 0.1
 done
 RPORT="$(awk '/^udp /{print $2}' "$LIVEDIR/recv.log")"
-# --status on the sender so the introspection port can be queried live;
-# --rate slows the modeled serialization enough that "mid-transfer" is an
-# observable window rather than a race (the ARQ gate below is rate-blind).
+RSTPORT="$(awk '/^status /{print $2}' "$LIVEDIR/recv.log")"
 timeout 60 "$DAEMON" --peer "127.0.0.1:$RPORT" --bridge --session-base 41 \
   --impair --p-drop 0.05 --p-corrupt 0.02 --fault-seed 9 --rate 4e6 \
   --status --exit-after-streams 2 > "$LIVEDIR/send.log" &
@@ -104,39 +108,59 @@ for _ in $(seq 100); do
 done
 BPORT="$(awk '/^bridge /{print $2}' "$LIVEDIR/send.log")"
 STPORT="$(awk '/^status /{print $2}' "$LIVEDIR/send.log")"
-# Gating status check: the snapshot must parse as JSON and show live
-# protocol work (nonzero lams.sender.iframe_tx) while the transfer runs.
+# Gating status check: while the transfer runs, each daemon's snapshot must
+# parse as JSON, order every histogram's quantiles, and show live protocol
+# work (the named counter nonzero).  Exit 0 = pass, 1 = not yet (no answer,
+# counter still zero), 2 = broken snapshot.
 cat > "$CAPDIR/status_check.py" <<'PY'
 import json, socket, sys
-with socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=5) as s:
-    s.sendall(b"status\n")
-    buf = b""
-    while True:
-        d = s.recv(65536)
-        if not d:
-            break
-        buf += d
-doc = json.loads(buf)
-assert doc["daemon"]["pid"] > 0
-assert "sessions_out" in doc and "recorder" in doc
-sys.exit(0 if doc["registry"]["counters"].get("lams.sender.iframe_tx", 0) > 0
-         else 1)
+port, counter = int(sys.argv[1]), sys.argv[2]
+try:
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+        s.sendall(b"status\n")
+        buf = b""
+        while True:
+            d = s.recv(65536)
+            if not d:
+                break
+            buf += d
+except OSError:
+    sys.exit(1)
+try:
+    doc = json.loads(buf)
+    assert doc["daemon"]["pid"] > 0
+    assert "sessions_out" in doc and "recorder" in doc
+    for name, h in doc["registry"]["histograms"].items():
+        q = [h["min"], h["p50"], h["p90"], h["p99"], h["max"]]
+        assert q == sorted(q), f"{name}: quantiles out of order {q}"
+except (ValueError, KeyError, TypeError, AssertionError) as err:
+    print(f"status on port {port}: {err!r}", file=sys.stderr)
+    sys.exit(2)
+sys.exit(0 if doc["registry"]["counters"].get(counter, 0) > 0 else 1)
 PY
+status_ok() {  # port counter: 0 pass, 1 not yet; a broken snapshot fails CI
+  local rc=0
+  python3 "$CAPDIR/status_check.py" "$1" "$2" || rc=$?
+  [ "$rc" -lt 2 ] || exit 1
+  return "$rc"
+}
 head -c 262144 /dev/urandom > "$LIVEDIR/in1.bin"
 head -c 393216 /dev/urandom > "$LIVEDIR/in2.bin"
 "$CLI" connect --port "$BPORT" --in "$LIVEDIR/in1.bin" >/dev/null &
 C1_PID=$!
 "$CLI" connect --port "$BPORT" --in "$LIVEDIR/in2.bin" >/dev/null &
 C2_PID=$!
-STATUS_OK=0
+SEND_OK=0
+RECV_OK=0
 for _ in $(seq 80); do
-  if python3 "$CAPDIR/status_check.py" "$STPORT" 2>/dev/null; then
-    STATUS_OK=1; break
-  fi
+  [ "$SEND_OK" = 1 ] || { status_ok "$STPORT" lams.sender.iframe_tx && SEND_OK=1; }
+  [ "$RECV_OK" = 1 ] ||
+    { status_ok "$RSTPORT" lams.receiver.checkpoints_emitted && RECV_OK=1; }
+  [ "$SEND_OK$RECV_OK" = 11 ] && break
   sleep 0.05
 done
-[ "$STATUS_OK" = 1 ]
-echo "mid-transfer status snapshot OK (port $STPORT)"
+[ "$SEND_OK$RECV_OK" = 11 ]
+echo "mid-transfer status snapshots OK (sender $STPORT, receiver $RSTPORT)"
 wait "$C1_PID"; wait "$C2_PID"   # each exits 0 iff its stream got "OK <n>"
 wait "$SEND_PID"; wait "$RECV_PID"  # exit 0 iff no stream failed either end
 # Byte-exactness: which bridge connection got which session id is a race,

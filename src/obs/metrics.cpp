@@ -20,6 +20,41 @@ void json_number(std::ostream& os, double v) {
 
 }  // namespace
 
+void LogHistogram::fold() {
+  slots_.assign(kSlots, 0);
+  for (const double x : samples_.samples()) ++slots_[slot_of(x)];
+  min_ = samples_.min();
+  max_ = samples_.max();
+  samples_ = Percentiles{};  // releases the exact store
+}
+
+double LogHistogram::folded_quantile(double q) const {
+  const auto n = static_cast<double>(count_);
+  const auto rank = static_cast<std::uint64_t>(std::clamp(std::ceil(q * n), 1.0, n));
+  std::uint64_t seen = 0;
+  for (std::size_t k = 0; k < kSlots; ++k) {
+    seen += slots_[k];
+    if (seen < rank) continue;
+    const double lo =
+        k == 0 ? 0.0
+               : bucket_lo((k - 1) / kSubBuckets) *
+                     (1.0 + static_cast<double>((k - 1) % kSubBuckets) / kSubBuckets);
+    return std::clamp(lo, min_, max_);
+  }
+  return max_;
+}
+
+std::array<std::uint64_t, LogHistogram::kBuckets> LogHistogram::buckets() const {
+  std::array<std::uint64_t, kBuckets> out{};
+  if (!folded()) {
+    for (const double x : samples_.samples()) ++out[bucket_of(x)];
+    return out;
+  }
+  out[0] = slots_[0];
+  for (std::size_t k = 1; k < kSlots; ++k) out[(k - 1) / kSubBuckets] += slots_[k];
+  return out;
+}
+
 void Registry::write_json(std::ostream& os) const {
   os << "{\"counters\":{";
   bool first = true;

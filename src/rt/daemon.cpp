@@ -98,7 +98,11 @@ struct Daemon::Impl {
   // ------------------------------------------------------------- status --
   int status_listen_fd = -1;
   std::uint16_t status_port = 0;
-  std::map<int, std::string> status_bufs;  ///< Partial request lines, by fd.
+  struct StatusConn {
+    std::string request;  ///< Partial request line.
+    EventId deadline = 0; ///< Closes the connection if the line never ends.
+  };
+  std::map<int, StatusConn> status_conns;  ///< By fd.
   obs::EventBus sample_bus;                ///< Sampler ticks land here.
   std::vector<obs::Event> last_samples;    ///< The most recent tick, whole.
   std::unique_ptr<obs::Sampler> sampler;
@@ -393,9 +397,13 @@ struct Daemon::Impl {
   // Connection discipline: one request line in, one response out, close.
   // The listener is just another fd on the single-threaded loop, so a
   // snapshot runs between protocol events and can never observe torn
-  // state.  Responses are written with the socket flipped to blocking plus
-  // a 1 s send timeout — a stalled scraper costs at most that, and cannot
-  // wedge the daemon with a partial-write buffer to manage.
+  // state.  A request line must arrive within kStatusIdle of the accept,
+  // or the connection is closed.  Responses are written with the socket
+  // flipped to blocking plus a send timeout of the same length — a stalled
+  // scraper costs at most that, and cannot wedge the daemon with a
+  // partial-write buffer to manage.
+
+  static constexpr Time kStatusIdle = Time::seconds_int(1);
 
   void open_status(std::uint16_t port) {
     status_listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -430,7 +438,10 @@ struct Daemon::Impl {
         return;
       }
       set_nonblock(fd);
-      status_bufs[fd];
+      // Fd handlers run before the kernel catches up with the wall, so the
+      // deadline is set from the wall, not from sim().now().
+      status_conns[fd].deadline = loop.sim().schedule_at(
+          loop.wall_now() + kStatusIdle, [this, fd] { close_status(fd); });
       loop.watch_fd(fd, [this, fd] { on_status_readable(fd); });
     }
   }
@@ -438,12 +449,15 @@ struct Daemon::Impl {
   void close_status(int fd) {
     loop.unwatch_fd(fd);
     ::close(fd);
-    status_bufs.erase(fd);
+    const auto it = status_conns.find(fd);
+    if (it == status_conns.end()) return;
+    loop.sim().cancel(it->second.deadline);
+    status_conns.erase(it);
   }
 
   void on_status_readable(int fd) {
-    const auto it = status_bufs.find(fd);
-    if (it == status_bufs.end()) return;
+    const auto it = status_conns.find(fd);
+    if (it == status_conns.end()) return;
     char buf[512];
     for (;;) {
       const ssize_t n = ::read(fd, buf, sizeof buf);
@@ -457,15 +471,16 @@ struct Daemon::Impl {
         close_status(fd);
         return;
       }
-      it->second.append(buf, static_cast<std::size_t>(n));
-      const auto nl = it->second.find('\n');
+      std::string& request = it->second.request;
+      request.append(buf, static_cast<std::size_t>(n));
+      const auto nl = request.find('\n');
       if (nl != std::string::npos) {
-        std::string cmd = it->second.substr(0, nl);
+        std::string cmd = request.substr(0, nl);
         if (!cmd.empty() && cmd.back() == '\r') cmd.pop_back();
         send_and_close(fd, status_respond(cmd));
         return;
       }
-      if (it->second.size() > 256) {  // no verb is this long
+      if (request.size() > 256) {  // no verb is this long
         close_status(fd);
         return;
       }
@@ -476,7 +491,7 @@ struct Daemon::Impl {
     const int fl = ::fcntl(fd, F_GETFL, 0);
     if (fl >= 0) ::fcntl(fd, F_SETFL, fl & ~O_NONBLOCK);
     timeval tv{};
-    tv.tv_sec = 1;
+    tv.tv_sec = static_cast<time_t>(kStatusIdle.sec());
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
     std::size_t off = 0;
     while (off < s.size()) {
@@ -747,11 +762,7 @@ struct Daemon::Impl {
       ::close(listen_fd);
       listen_fd = -1;
     }
-    for (auto& [fd, buf] : status_bufs) {
-      loop.unwatch_fd(fd);
-      ::close(fd);
-    }
-    status_bufs.clear();
+    while (!status_conns.empty()) close_status(status_conns.begin()->first);
     if (status_listen_fd >= 0) {
       loop.unwatch_fd(status_listen_fd);
       ::close(status_listen_fd);

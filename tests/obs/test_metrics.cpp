@@ -1,7 +1,11 @@
 #include "lamsdlc/obs/metrics.hpp"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cmath>
+#include <cstddef>
+#include <random>
 #include <string>
 
 namespace lamsdlc::obs {
@@ -49,6 +53,103 @@ TEST(LogHistogram, SummaryStatistics) {
   std::uint64_t total = 0;
   for (const auto b : h.buckets()) total += b;
   EXPECT_EQ(total, 100u);
+}
+
+/// Heap bytes in use, mmapped blocks included (glibc).
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+// Up to the cap the histogram is the exact store itself; the next sample
+// folds it.
+TEST(LogHistogram, ExactUpToTheCapThenFolds) {
+  LogHistogram h;
+  Percentiles oracle;
+  std::mt19937_64 rng{17};
+  std::exponential_distribution<double> dist{0.25};
+  for (std::size_t i = 0; i < LogHistogram::kExactCap; ++i) {
+    const double x = dist(rng);
+    h.observe(x);
+    oracle.add(x);
+  }
+  ASSERT_FALSE(h.folded());
+  for (const double q : {0.0, 0.01, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(h.quantile(q), oracle.quantile(q)) << "q=" << q;
+  }
+  h.observe(1.0);
+  EXPECT_TRUE(h.folded());
+  EXPECT_EQ(h.count(), LogHistogram::kExactCap + 1);
+}
+
+/// Uniform in [0, 1), a pure function of the generator's next output.
+double unit(std::mt19937_64& rng) { return static_cast<double>(rng() >> 11) * 0x1p-53; }
+
+/// Feed 2^22 samples of \p draw to a histogram and to a `Percentiles`
+/// oracle; check the histogram's retained memory stays at its fixed table,
+/// its exact statistics match the oracle's and every quantile lies within
+/// (1 - 2^-7, 1] of the oracle's (equal when \p exact, and at zero).
+void check_folded_against_oracle(double (*draw)(std::mt19937_64&), bool exact) {
+  constexpr std::size_t kSamples = std::size_t{1} << 22;
+  constexpr std::uint64_t kSeed = 90001;
+
+  // The histogram alone first, so the heap delta is its own.
+  LogHistogram h;
+  const std::size_t heap0 = heap_in_use();
+  std::mt19937_64 rng{kSeed};
+  for (std::size_t i = 0; i < kSamples; ++i) h.observe(draw(rng));
+  const std::size_t retained = heap_in_use() - heap0;
+  ASSERT_TRUE(h.folded());
+  // The fixed table alone: the exact store (128 KiB at the cap, 32 MiB had
+  // it kept every sample) was released.
+  EXPECT_LT(retained, LogHistogram::kSlots * sizeof(std::uint64_t) + (std::size_t{16} << 10))
+      << "retained " << retained << " bytes";
+
+  Percentiles oracle;
+  double sum = 0.0;
+  rng.seed(kSeed);
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    const double x = draw(rng);
+    oracle.add(x);
+    sum += x;
+  }
+  EXPECT_EQ(h.count(), kSamples);
+  EXPECT_EQ(h.sum(), sum);
+  EXPECT_EQ(h.mean(), sum / static_cast<double>(kSamples));
+  EXPECT_EQ(h.min(), oracle.min());
+  EXPECT_EQ(h.max(), oracle.max());
+  for (const double q : {0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    const double want = oracle.quantile(q);
+    const double got = h.quantile(q);
+    if (exact || want == 0.0) {
+      EXPECT_EQ(got, want) << "q=" << q;
+    } else {
+      EXPECT_LE(got, want) << "q=" << q;
+      EXPECT_LT(want - got, want * 0x1p-7) << "q=" << q;
+    }
+  }
+  EXPECT_LE(h.p50(), h.p90());
+  EXPECT_LE(h.p90(), h.p99());
+  EXPECT_LE(h.p99(), h.max());
+}
+
+TEST(LogHistogram, FoldedContinuousQuantilesWithinRelativeBound) {
+  // Log-uniform over 2^-24 .. 2^24, plus exact zeros.
+  check_folded_against_oracle(
+      [](std::mt19937_64& rng) {
+        return rng() % 64 == 0 ? 0.0 : std::exp2(48.0 * unit(rng) - 24.0);
+      },
+      /*exact=*/false);
+}
+
+TEST(LogHistogram, FoldedSmallIntegersStayExact) {
+  // Buffer-depth-like values: 0 .. 255, skewed toward small depths.
+  check_folded_against_oracle(
+      [](std::mt19937_64& rng) {
+        const double u = unit(rng);
+        return std::floor(256.0 * u * u);
+      },
+      /*exact=*/true);
 }
 
 TEST(Registry, LookupCreatesAndReferencesAreStable) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -376,6 +377,59 @@ TEST(Daemon, StatusEndpointRejectsUnknownVerbs) {
   // stop() from another thread is only noticed at the next loop wakeup;
   // one more connection provides it (instead of the 10 s watchdog).
   (void)status_request(daemon.status_port(), "status");
+  loop.join();
+}
+
+// A client that connects and never sends its request line is closed once
+// the idle deadline passes, and its fd is released.
+TEST(Daemon, SilentStatusConnectionIsClosedAtTheIdleDeadline) {
+  rt::DaemonConfig cfg;
+  cfg.self_peer = true;
+  cfg.status = true;
+  cfg.status_sample_period = Time{};
+
+  rt::Daemon daemon{cfg};
+  daemon.start();
+  // The loop thread stops itself once the test says so (or at a watchdog),
+  // so stop() never runs concurrently with the loop.
+  std::atomic<bool> done{false};
+  std::function<void()> poll = [&] {
+    if (done.load() || daemon.loop().now() > Time::seconds(20)) {
+      daemon.stop();
+    } else {
+      daemon.loop().sim().schedule_in(Time::milliseconds(10), poll);
+    }
+  };
+  daemon.loop().sim().schedule_in(Time{}, poll);
+  std::thread loop{[&] { daemon.run(); }};
+
+  // EXPECT, not ASSERT, from here on: an early return would leave the loop
+  // thread running.
+  const long long fds_before =
+      json_int_after(status_request(daemon.status_port(), "status"), "fds");
+  EXPECT_GT(fds_before, 0);
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  timeval tv{5, 0};  // well past the 1 s deadline
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(daemon.status_port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  char buf[16];
+  const ssize_t n = ::read(fd, buf, sizeof buf);
+  const double waited =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  ::close(fd);
+  EXPECT_EQ(n, 0) << "expected EOF from the daemon, got " << n << " after " << waited << " s";
+  EXPECT_GT(waited, 0.5);
+  EXPECT_LT(waited, 3.0);
+
+  EXPECT_EQ(json_int_after(status_request(daemon.status_port(), "status"), "fds"),
+            fds_before);
+  done.store(true);
   loop.join();
 }
 
