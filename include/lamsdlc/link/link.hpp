@@ -7,7 +7,9 @@
 /// orbit-driven scenarios), and an error process deciding per-frame
 /// corruption.  Corrupted frames are still delivered with `corrupted = true`
 /// — the paper's link model treats loss as a detectable error (assumption 9),
-/// and endpoints decide what survives of a damaged frame.
+/// and endpoints decide what survives of a damaged frame.  Between
+/// serialization and arrival a frame waits in a `ChannelIngress`, the one
+/// transit discipline of serial and parallel runs alike.
 ///
 /// An optional FEC codec expands payload bits into coded bits for the
 /// serializer, so control frames can ride a stronger (lower-rate) code than
@@ -76,6 +78,86 @@ class FrameChannel {
   [[nodiscard]] virtual Time propagation_at(Time when) const = 0;
 };
 
+/// Transit queue between a channel's serializer and its receiving endpoint.
+/// Every simulated frame that survives its send-time fate draw waits here
+/// until its arrival instant.  A `SimplexChannel` owns one for its own
+/// deliveries; under PDES (`net::Network::enable_pdes`) the channel instead
+/// hands its frames to an ingress living with the receiver, in the
+/// *receiving* partition's kernel (directly for partition-local traffic, at
+/// window barriers for cross-partition traffic).
+///
+/// Frames wait in (arrival, push-order) order and a single armed sweep event
+/// delivers them at their arrival instants, so a saturated 1 Gbps / 10 ms
+/// link with ~10^3 frames in flight keeps the kernel's event heap one entry
+/// deep per channel.  On a fault-free channel arrivals are monotone and every
+/// push is an O(1) push_back; a jitter stage or shrinking orbital
+/// propagation triggers the rare sorted insert and a cancel + re-arm of the
+/// sweep.  A channel's own ingress sweeps at the kernel default priority;
+/// `net::Network` gives each PDES ingress a fixed below-default priority
+/// unique to it, so same-instant sweep-vs-endpoint-timer ordering
+/// depends only on which objects are involved, never on scheduling history —
+/// which is what makes execution invariant across partition counts.
+///
+/// Down-epochs: each frame carries its channel's down-epoch from the instant
+/// its serialization started, and `bump_epoch` is called by the same
+/// link-down operation that bumps the channel's, so a frame stamped before
+/// the outage is dropped here at its arrival instant.
+class ChannelIngress {
+ public:
+  ChannelIngress(Simulator& sim, Simulator::Priority sweep_priority)
+      : sim_{sim}, sweep_priority_{sweep_priority} {}
+
+  ChannelIngress(const ChannelIngress&) = delete;
+  ChannelIngress& operator=(const ChannelIngress&) = delete;
+
+  void set_sink(FrameSink* sink) noexcept { sink_ = sink; }
+  void set_event_bus(obs::EventBus* bus, obs::Source source) noexcept {
+    bus_ = bus;
+    src_ = source;
+  }
+
+  /// Accept an in-flight frame.  \throws std::logic_error if \p arrival is
+  /// before the local kernel's clock — that means the window lookahead bound
+  /// was violated, and a loud failure beats a silently divergent run.
+  void push(Time arrival, std::uint64_t epoch, frame::Frame&& f);
+
+  /// Link went down: in-flight frames stamped with the old epoch are dropped
+  /// at their arrival instants (photons in flight when pointing was lost).
+  void bump_epoch() noexcept { ++epoch_; }
+
+  /// Emit one link-fate event about \p f on the attached bus, stamped with
+  /// this kernel's clock: the delivery-time drops below, and the send-time
+  /// fates of the channel that owns this ingress.
+  void emit_fate(obs::EventKind kind, obs::DropCause cause,
+                 const frame::Frame& f);
+
+  /// Frames dropped at delivery time (stale down-epoch, or no sink).
+  [[nodiscard]] std::uint64_t frames_dropped() const noexcept {
+    return frames_dropped_;
+  }
+
+ private:
+  struct Transit {
+    Time arrival;
+    std::uint64_t epoch;
+    frame::Frame f;
+  };
+  void arm_sweep();
+  void sweep();
+
+  Simulator& sim_;
+  Simulator::Priority sweep_priority_;
+  FrameSink* sink_{nullptr};
+  obs::EventBus* bus_{nullptr};
+  obs::Source src_{obs::Source::kOther};
+  std::deque<Transit> transit_;
+  EventId sweep_event_{0};
+  bool sweep_armed_{false};
+  Time sweep_at_{};
+  std::uint64_t epoch_{0};
+  std::uint64_t frames_dropped_{0};
+};
+
 /// One direction of the link.
 class SimplexChannel final : public FrameChannel {
  public:
@@ -107,16 +189,6 @@ class SimplexChannel final : public FrameChannel {
     /// whose seq field is out of range is refused like any other unreadable
     /// husk instead of aliasing mod m inside the endpoint.
     frame::DecodeLimits decode_limits;
-
-    /// Batched delivery: in-flight frames wait in a per-channel
-    /// arrival-ordered transit queue with a single armed kernel event at the
-    /// head arrival, instead of one kernel event per frame.  A saturated
-    /// 1 Gbps / 10 ms link holds ~10^3 frames in flight, so this keeps the
-    /// simulator's event heap a few entries deep rather than a thousand.
-    /// Per-frame delivery instants and same-instant ordering are preserved
-    /// exactly (the identity is gated by tests); `false` restores the
-    /// original one-event-per-frame scheduling for A/B comparison.
-    bool batched_delivery = true;
   };
 
   SimplexChannel(Simulator& sim, Config cfg,
@@ -153,8 +225,7 @@ class SimplexChannel final : public FrameChannel {
   /// one-for-one: every counter increment emits exactly one event, so the
   /// metrics collector reproduces the counters from the stream.
   void set_event_bus(obs::EventBus* bus, obs::Source source) noexcept {
-    bus_ = bus;
-    src_ = source;
+    ingress_.set_event_bus(bus, source);
   }
 
   SimplexChannel(const SimplexChannel&) = delete;
@@ -162,16 +233,16 @@ class SimplexChannel final : public FrameChannel {
 
   /// Attach the receiving endpoint.  Frames sent while no sink is attached
   /// are counted and dropped.
-  void set_sink(FrameSink* sink) noexcept { sink_ = sink; }
+  void set_sink(FrameSink* sink) noexcept { ingress_.set_sink(sink); }
 
   /// Receiver-side handoff for the parallel network driver: every frame that
   /// survives the send-time fate draw (error model, fault stages, byte-level
   /// codec) is handed to \p egress with its computed arrival instant and the
   /// channel's down-epoch at send, *instead of* entering this channel's own
-  /// transit queue.  All nondeterminism is resolved at send time — the
-  /// handoff carries a finished (frame, arrival, epoch) triple, so delivery
-  /// can run in a different partition's kernel (a `ChannelIngress` living
-  /// with the receiver) without consulting sender-side state.
+  /// ingress.  All nondeterminism is resolved at send time — the handoff
+  /// carries a finished (frame, arrival, epoch) triple, so delivery can run
+  /// in a different partition's kernel (a `ChannelIngress` living with the
+  /// receiver) without consulting sender-side state.
   using Egress = std::function<void(Time arrival, std::uint64_t epoch,
                                     frame::Frame f)>;
   void set_egress(Egress egress) { egress_ = std::move(egress); }
@@ -205,18 +276,16 @@ class SimplexChannel final : public FrameChannel {
     return cfg_.propagation(when);
   }
 
-  /// One-way delay for a frame sent now.
-  [[nodiscard]] Time current_propagation() const {
-    return cfg_.propagation(sim_.now());
-  }
-
   [[nodiscard]] const Config& config() const noexcept { return cfg_; }
 
   /// \name Counters
   /// @{
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return frames_sent_; }
   [[nodiscard]] std::uint64_t frames_corrupted() const noexcept { return frames_corrupted_; }
-  [[nodiscard]] std::uint64_t frames_dropped() const noexcept { return frames_dropped_; }
+  /// Outage and no-sink drops, at send time and on arrival.
+  [[nodiscard]] std::uint64_t frames_dropped() const noexcept {
+    return frames_dropped_ + ingress_.frames_dropped();
+  }
   [[nodiscard]] std::uint64_t bits_sent() const noexcept { return bits_sent_; }
   /// Byte-accurate mode only: clean frames that failed to decode, or whose
   /// decoded wire fields disagreed with what was sent despite a passing FCS.
@@ -255,68 +324,33 @@ class SimplexChannel final : public FrameChannel {
 
  private:
   void start_next();
-  void emit_fate(obs::EventKind kind, obs::DropCause cause,
-                 const frame::Frame& f);
+  /// Pass a frame whose fate is decided on to its arrival: the egress when
+  /// one is set, otherwise this channel's own ingress.
+  void hand_off(Time arrival, std::uint64_t epoch, frame::Frame&& f);
   [[nodiscard]] std::size_t coded_bits(const frame::Frame& f) const noexcept;
   /// Byte-accurate mode: encode, apply \p corrupt as real bit flips, decode.
   /// Moves through: the input frame is consumed, never copied, and the
   /// encode buffer is the reused channel-owned `wire_buf_`.
   [[nodiscard]] frame::Frame through_codec(frame::Frame f, bool corrupt);
 
-  /// \name In-flight frame pool
-  /// Frames between serialization and delivery park in a slot pool so the
-  /// propagation-delay callback captures only `{this, epoch, slot}` — small
-  /// enough for the simulator's inline callback storage.  With the pool the
-  /// steady-state I-frame path schedules, flies and delivers without a
-  /// single allocation (slots and payload capacity are recycled).
-  /// @{
-  std::uint32_t stash_inflight(frame::Frame f);
-  [[nodiscard]] frame::Frame take_inflight(std::uint32_t slot);
-  void deliver_inflight(std::uint64_t epoch, std::uint32_t slot);
-  /// @}
-
-  /// \name Batched delivery (Config::batched_delivery)
-  /// Transit entries ordered by arrival; FIFO among equal arrivals (deque
-  /// position encodes push order, so fault duplicates pushed before their
-  /// original deliver first, as in the per-frame path).  On a fault-free
-  /// channel arrivals are monotone and every push is an O(1) push_back; a
-  /// jitter stage or shrinking orbital propagation triggers the rare sorted
-  /// insert and a cancel + re-arm of the sweep event.
-  /// @{
-  struct Transit {
-    Time arrival;
-    std::uint64_t epoch;
-    std::uint32_t slot;
-  };
-  void push_transit(Time arrival, std::uint64_t epoch, std::uint32_t slot);
-  void arm_sweep();
-  void sweep_transit();
-  std::deque<Transit> transit_;
-  EventId sweep_event_{0};
-  bool sweep_armed_{false};
-  Time sweep_at_{};
-  /// @}
-
   Simulator& sim_;
+  /// Frames in flight, and this channel's event bus (send-time fates are
+  /// emitted through it too).
+  ChannelIngress ingress_;
   Config cfg_;
   std::unique_ptr<phy::ErrorModel> error_;
   std::unique_ptr<phy::ErrorModel> control_error_;
   std::vector<std::unique_ptr<phy::FaultInjector>> faults_;
   std::optional<phy::FecCodec> iframe_codec_;
   std::optional<phy::FecCodec> control_codec_;
-  FrameSink* sink_{nullptr};
   Egress egress_;
-  obs::EventBus* bus_{nullptr};
-  obs::Source src_{obs::Source::kOther};
   std::function<void()> idle_cb_;
   std::deque<frame::Frame> queue_;
-  std::vector<frame::Frame> inflight_;          ///< Slot pool (see above).
-  std::vector<std::uint32_t> inflight_free_;    ///< Recycled slot indices.
-  std::vector<std::uint8_t> wire_buf_;          ///< Reused encode buffer.
+  std::vector<std::uint8_t> wire_buf_;  ///< Reused encode buffer.
   bool transmitting_{false};
   Time tx_done_{};
   bool up_{true};
-  std::uint64_t down_epoch_{0};  ///< Invalidates in-flight events on failure.
+  std::uint64_t down_epoch_{0};  ///< Invalidates in-flight frames on failure.
   std::uint64_t frames_sent_{0};
   std::uint64_t frames_corrupted_{0};
   std::uint64_t frames_dropped_{0};
@@ -329,76 +363,6 @@ class SimplexChannel final : public FrameChannel {
   std::uint64_t frames_delayed_{0};
   std::uint64_t frames_truncated_{0};
   RandomStream flip_rng_;
-};
-
-/// Receiver-side transit queue for the parallel network driver: the mirror
-/// of `SimplexChannel`'s batched delivery, living in the *receiving*
-/// partition's kernel.  Frames arrive via `push` (directly for
-/// partition-local traffic, at window barriers for cross-partition traffic);
-/// a single armed sweep event delivers them at their arrival instants in
-/// (arrival, push-order) order — exactly the channel's own transit
-/// discipline.  The sweep is scheduled at a fixed below-default priority
-/// unique to this ingress, so same-instant sweep-vs-endpoint-timer ordering
-/// depends only on which objects are involved, never on scheduling history —
-/// which is what makes execution invariant across partition counts.
-///
-/// Down-epochs are mirrored rather than shared: `bump_epoch` is called from
-/// the same (barrier-time) link-down operation that bumps the sending
-/// channel's epoch, so a stamped in-flight frame whose epoch is stale is
-/// dropped here with the same observable fate the channel itself would give
-/// it.
-class ChannelIngress {
- public:
-  ChannelIngress(Simulator& sim, Simulator::Priority sweep_priority)
-      : sim_{sim}, sweep_priority_{sweep_priority} {}
-
-  ChannelIngress(const ChannelIngress&) = delete;
-  ChannelIngress& operator=(const ChannelIngress&) = delete;
-
-  void set_sink(FrameSink* sink) noexcept { sink_ = sink; }
-  void set_event_bus(obs::EventBus* bus, obs::Source source) noexcept {
-    bus_ = bus;
-    src_ = source;
-  }
-
-  /// Accept an in-flight frame.  \throws std::logic_error if \p arrival is
-  /// before the local kernel's clock — that means the window lookahead bound
-  /// was violated, and a loud failure beats a silently divergent run.
-  void push(Time arrival, std::uint64_t epoch, frame::Frame f);
-
-  /// Link went down: in-flight frames stamped with the old epoch are dropped
-  /// at their arrival instants (photons in flight when pointing was lost).
-  void bump_epoch() noexcept { ++epoch_; }
-
-  [[nodiscard]] std::uint64_t frames_delivered() const noexcept {
-    return frames_delivered_;
-  }
-  [[nodiscard]] std::uint64_t frames_dropped() const noexcept {
-    return frames_dropped_;
-  }
-
- private:
-  struct Transit {
-    Time arrival;
-    std::uint64_t epoch;
-    frame::Frame f;
-  };
-  void arm_sweep();
-  void sweep();
-  void emit_drop(obs::DropCause cause, const frame::Frame& f);
-
-  Simulator& sim_;
-  Simulator::Priority sweep_priority_;
-  FrameSink* sink_{nullptr};
-  obs::EventBus* bus_{nullptr};
-  obs::Source src_{obs::Source::kOther};
-  std::deque<Transit> transit_;
-  EventId sweep_event_{0};
-  bool sweep_armed_{false};
-  Time sweep_at_{};
-  std::uint64_t epoch_{0};
-  std::uint64_t frames_delivered_{0};
-  std::uint64_t frames_dropped_{0};
 };
 
 /// Full-duplex link: two independent simplex channels (assumption 2).

@@ -77,10 +77,6 @@ struct LinkSpec {
   lams::LamsConfig lams;  ///< Parameters when protocol == kLams.
   hdlc::HdlcConfig hdlc;  ///< Parameters when protocol is an HDLC variant.
   bool byte_level = false;
-  /// Forwarded to link::SimplexChannel::Config::batched_delivery on both
-  /// channels; `false` restores one-kernel-event-per-frame delivery (the
-  /// byte-identity regression test A/Bs the two).
-  bool batched_delivery = true;
   /// Optional event-bus factory for the link's protocol endpoints
   /// (LAMS flows only).  Called once per endpoint while the link is built;
   /// `sender_side` is true for the flow's sender.  Returned buses must

@@ -77,12 +77,6 @@ struct ChaosKnobs {
   /// invariant checker catches duplicate client delivery.  Tests only.
   bool suppress_duplicates = true;
 
-  /// Forwarded to ScenarioConfig::batched_delivery; `false` restores
-  /// one-kernel-event-per-frame channel scheduling.  Exists so the
-  /// byte-identity regression test can A/B the same chaos schedule both
-  /// ways and assert nothing observable moved.
-  bool batched_delivery = true;
-
   /// Non-zero: run an obs::Sampler at this cadence, so the event stream (and
   /// any capture the tap attaches) carries periodic registry snapshots for
   /// `lamsdlc_cli inspect --timeline`.

@@ -57,10 +57,6 @@ struct ScenarioConfig {
   /// Serialize every frame through the real byte codec (see
   /// link::SimplexChannel::Config::byte_level).
   bool byte_level_wire = false;
-  /// Single armed delivery event per channel instead of one per in-flight
-  /// frame (see link::SimplexChannel::Config::batched_delivery); `false`
-  /// restores per-frame scheduling for A/B identity tests.
-  bool batched_delivery = true;
   /// @}
 
   ErrorConfig forward_error;  ///< Sender → receiver.

@@ -4,7 +4,9 @@
 #   1. tier-1: regular build + the whole ctest suite, then the benchmark
 #      harness self-test (perfbench/run.py --self-test), which compiles
 #      against the library's public API — gating.
-#   2. sanitizers: ASan/UBSan build + full suite (scripts/check_sanitize.sh)
+#   2. sanitizers: ASan/UBSan build + full suite (scripts/check_sanitize.sh),
+#      then a ThreadSanitizer build of test_rt, the suite that drives a live
+#      event loop from a second thread (scripts/check_tsan.sh) — gating.
 #   3. chaos smoke: 25 seeded fault schedules under the invariant checker,
 #      with event capture enabled — every run must also produce an .ldlcap
 #      file that `lamsdlc_cli inspect` decodes cleanly.
@@ -45,6 +47,9 @@ python3 perfbench/run.py --self-test
 
 echo "== sanitized build + tests =="
 scripts/check_sanitize.sh
+
+echo "== ThreadSanitizer build + test_rt =="
+scripts/check_tsan.sh
 
 echo "== chaos smoke (25 seeds, capture enabled) =="
 CLI="$BUILD_DIR/tools/lamsdlc_cli"

@@ -17,21 +17,10 @@ std::uint64_t wire_ctr(const frame::Frame& f) noexcept {
 
 }  // namespace
 
-void SimplexChannel::emit_fate(obs::EventKind kind, obs::DropCause cause,
-                               const frame::Frame& f) {
-  if (bus_ == nullptr || !bus_->enabled()) return;
-  obs::Event e;
-  e.at = sim_.now();
-  e.source = src_;
-  e.kind = kind;
-  e.p.drop = {cause, static_cast<std::uint8_t>(f.is_control() ? 1 : 0),
-              wire_ctr(f)};
-  bus_->emit(e);
-}
-
 SimplexChannel::SimplexChannel(Simulator& sim, Config cfg,
                                std::unique_ptr<phy::ErrorModel> error_model)
     : sim_{sim},
+      ingress_{sim, Simulator::kDefaultPriority},
       cfg_{std::move(cfg)},
       error_{std::move(error_model)},
       flip_rng_{cfg_.byte_level_seed, "link.bitflip"} {
@@ -115,7 +104,8 @@ bool SimplexChannel::busy() const noexcept {
 void SimplexChannel::send(frame::Frame f) {
   if (!up_) {
     ++frames_dropped_;
-    emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kLinkDown, f);
+    ingress_.emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kLinkDown,
+                       f);
     return;
   }
   queue_.push_back(std::move(f));
@@ -130,18 +120,17 @@ void SimplexChannel::set_up(bool up) {
     if (idle_cb_) idle_cb_();
     return;
   }
-  {
-    frames_dropped_ += queue_.size();
-    for (const auto& q : queue_) {
-      emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kLinkDown, q);
-    }
-    queue_.clear();
-    // A frame mid-serialization is lost too; its completion event still
-    // fires but finds the link down and discards the frame (handled in
-    // start_next's completion lambda via the epoch check).
-    ++down_epoch_;
-    transmitting_ = false;
+  frames_dropped_ += queue_.size();
+  for (const auto& q : queue_) {
+    ingress_.emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kLinkDown,
+                       q);
   }
+  queue_.clear();
+  // Frames already handed off (including one mid-serialization, whose
+  // completion event also finds its epoch stale) are lost in flight.
+  ++down_epoch_;
+  ingress_.bump_epoch();
+  transmitting_ = false;
 }
 
 void SimplexChannel::start_next() {
@@ -173,8 +162,8 @@ void SimplexChannel::start_next() {
   }
   if (fate.corrupt) {
     ++frames_corrupted_;
-    emit_fate(obs::EventKind::kFrameCorrupted, obs::DropCause::kWireCorruption,
-              f);
+    ingress_.emit_fate(obs::EventKind::kFrameCorrupted,
+                       obs::DropCause::kWireCorruption, f);
   }
   if (cfg_.byte_level) {
     f = through_codec(std::move(f), fate.corrupt);
@@ -184,8 +173,8 @@ void SimplexChannel::start_next() {
   if (fate.truncate) {
     // Header damage: whatever survived the codec is an unreadable husk.
     ++frames_truncated_;
-    emit_fate(obs::EventKind::kFrameCorrupted, obs::DropCause::kFaultTruncation,
-              f);
+    ingress_.emit_fate(obs::EventKind::kFrameCorrupted,
+                       obs::DropCause::kFaultTruncation, f);
     f.corrupted = true;
   }
 
@@ -204,7 +193,8 @@ void SimplexChannel::start_next() {
     // reaches the far end — the pure-loss channel of the self-stabilizing
     // ARQ literature, stronger than the paper's detectable-error model.
     ++frames_fault_dropped_;
-    emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kFaultDrop, f);
+    ingress_.emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kFaultDrop,
+                       f);
     return;
   }
 
@@ -214,132 +204,45 @@ void SimplexChannel::start_next() {
   const Time arrival = end + prop + fate.delay;
   if (!fate.delay.is_zero()) {
     ++frames_delayed_;
-    emit_fate(obs::EventKind::kFrameDelayed, obs::DropCause::kFaultJitter, f);
+    ingress_.emit_fate(obs::EventKind::kFrameDelayed,
+                       obs::DropCause::kFaultJitter, f);
   }
-  // Parallel-driver handoff: the fate is fully decided, so the finished
-  // (frame, arrival, epoch) triple can leave this kernel entirely.  The
-  // duplicates precede the original, matching the transit-queue push order
-  // below.
-  if (egress_) {
-    for (std::uint32_t i = 0; i < fate.duplicates; ++i) {
-      ++frames_duplicated_;
-      emit_fate(obs::EventKind::kFrameDuplicated,
-                obs::DropCause::kFaultDuplicate, f);
-      egress_(arrival, epoch, frame::Frame{f});
-    }
-    egress_(arrival, epoch, std::move(f));
-    return;
-  }
-  // Frames in flight park in the slot pool; the scheduled callback carries
-  // only the slot index, so it fits the simulator's inline storage and the
-  // steady-state path allocates nothing.
+  // Duplicates precede the original, so among equal arrivals they deliver
+  // first.
   for (std::uint32_t i = 0; i < fate.duplicates; ++i) {
     ++frames_duplicated_;
-    emit_fate(obs::EventKind::kFrameDuplicated, obs::DropCause::kFaultDuplicate,
-              f);
-    const std::uint32_t dup = stash_inflight(frame::Frame{f});
-    if (cfg_.batched_delivery) {
-      push_transit(arrival, epoch, dup);
-    } else {
-      sim_.schedule_at(arrival,
-                       [this, epoch, dup] { deliver_inflight(epoch, dup); });
-    }
+    ingress_.emit_fate(obs::EventKind::kFrameDuplicated,
+                       obs::DropCause::kFaultDuplicate, f);
+    hand_off(arrival, epoch, frame::Frame{f});
   }
-  const std::uint32_t slot = stash_inflight(std::move(f));
-  if (cfg_.batched_delivery) {
-    push_transit(arrival, epoch, slot);
+  hand_off(arrival, epoch, std::move(f));
+}
+
+void SimplexChannel::hand_off(Time arrival, std::uint64_t epoch,
+                              frame::Frame&& f) {
+  // The fate is fully decided, so under PDES the finished (frame, arrival,
+  // epoch) triple can leave this kernel entirely.
+  if (egress_) {
+    egress_(arrival, epoch, std::move(f));
   } else {
-    sim_.schedule_at(arrival,
-                     [this, epoch, slot] { deliver_inflight(epoch, slot); });
+    ingress_.push(arrival, epoch, std::move(f));
   }
 }
 
-void SimplexChannel::push_transit(Time arrival, std::uint64_t epoch,
-                                  std::uint32_t slot) {
-  if (transit_.empty() || !(arrival < transit_.back().arrival)) {
-    transit_.push_back(Transit{arrival, epoch, slot});
-  } else {
-    // Out-of-order arrival (fault jitter, or propagation shrinking faster
-    // than the serializer advances).  Insert after every entry arriving at
-    // or before the same instant, preserving FIFO among equal arrivals.
-    const auto pos = std::upper_bound(
-        transit_.begin(), transit_.end(), arrival,
-        [](Time a, const Transit& t) { return a < t.arrival; });
-    transit_.insert(pos, Transit{arrival, epoch, slot});
-  }
-  arm_sweep();
-}
-
-void SimplexChannel::arm_sweep() {
-  if (transit_.empty()) return;
-  const Time head = transit_.front().arrival;
-  if (sweep_armed_) {
-    if (!(head < sweep_at_)) return;
-    sim_.cancel(sweep_event_);
-  }
-  sweep_at_ = head;
-  sweep_armed_ = true;
-  sweep_event_ = sim_.schedule_at(head, [this] { sweep_transit(); });
-}
-
-void SimplexChannel::sweep_transit() {
-  sweep_armed_ = false;
-  const Time now = sim_.now();
-  while (!transit_.empty() && !(now < transit_.front().arrival)) {
-    const Transit t = transit_.front();
-    transit_.pop_front();
-    // Delivery can synchronously send on this channel (relays, piggybacked
-    // responses) and re-enter push_transit; popping first keeps the queue
-    // consistent, and arm_sweep below coalesces with any re-entrant arm.
-    deliver_inflight(t.epoch, t.slot);
-  }
-  arm_sweep();
-}
-
-std::uint32_t SimplexChannel::stash_inflight(frame::Frame f) {
-  if (inflight_free_.empty()) {
-    inflight_.push_back(std::move(f));
-    return static_cast<std::uint32_t>(inflight_.size() - 1);
-  }
-  const std::uint32_t slot = inflight_free_.back();
-  inflight_free_.pop_back();
-  inflight_[slot] = std::move(f);
-  return slot;
-}
-
-frame::Frame SimplexChannel::take_inflight(std::uint32_t slot) {
-  frame::Frame f = std::move(inflight_[slot]);
-  inflight_free_.push_back(slot);
-  return f;
-}
-
-void SimplexChannel::deliver_inflight(std::uint64_t epoch, std::uint32_t slot) {
-  frame::Frame f = take_inflight(slot);
-  if (epoch != down_epoch_) {
-    ++frames_dropped_;  // photons in flight when pointing was lost
-    emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kLinkDown, f);
-    return;
-  }
-  if (sink_) {
-    sink_->on_frame(std::move(f));
-  } else {
-    ++frames_dropped_;
-    emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kNoSink, f);
-  }
-}
-
-void ChannelIngress::emit_drop(obs::DropCause cause, const frame::Frame& f) {
+void ChannelIngress::emit_fate(obs::EventKind kind, obs::DropCause cause,
+                               const frame::Frame& f) {
   if (bus_ == nullptr || !bus_->enabled()) return;
   obs::Event e;
   e.at = sim_.now();
   e.source = src_;
-  e.kind = obs::EventKind::kFrameDropped;
+  e.kind = kind;
   e.p.drop = {cause, static_cast<std::uint8_t>(f.is_control() ? 1 : 0),
               wire_ctr(f)};
   bus_->emit(e);
 }
 
-void ChannelIngress::push(Time arrival, std::uint64_t epoch, frame::Frame f) {
+void ChannelIngress::push(Time arrival, std::uint64_t epoch,
+                          frame::Frame&& f) {
   if (arrival < sim_.now()) {
     // The window lookahead bound (min link propagation) was violated: this
     // frame's delivery instant is already in the receiver's past.  Fail loud
@@ -352,9 +255,9 @@ void ChannelIngress::push(Time arrival, std::uint64_t epoch, frame::Frame f) {
   if (transit_.empty() || !(arrival < transit_.back().arrival)) {
     transit_.push_back(Transit{arrival, epoch, std::move(f)});
   } else {
-    // Same discipline as SimplexChannel::push_transit: insert after every
-    // entry arriving at or before the same instant, preserving FIFO among
-    // equal arrivals.
+    // Out-of-order arrival (fault jitter, or propagation shrinking faster
+    // than the serializer advances).  Insert after every entry arriving at
+    // or before the same instant, preserving FIFO among equal arrivals.
     const auto pos = std::upper_bound(
         transit_.begin(), transit_.end(), arrival,
         [](Time a, const Transit& t) { return a < t.arrival; });
@@ -383,17 +286,16 @@ void ChannelIngress::sweep() {
     transit_.pop_front();
     if (t.epoch != epoch_) {
       ++frames_dropped_;  // photons in flight when pointing was lost
-      emit_drop(obs::DropCause::kLinkDown, t.f);
+      emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kLinkDown, t.f);
       continue;
     }
     if (sink_ == nullptr) {
       ++frames_dropped_;
-      emit_drop(obs::DropCause::kNoSink, t.f);
+      emit_fate(obs::EventKind::kFrameDropped, obs::DropCause::kNoSink, t.f);
       continue;
     }
-    ++frames_delivered_;
-    // Delivery can synchronously send (and re-enter push for a local
-    // channel); the pop above keeps the queue consistent, and arm_sweep
+    // Delivery can synchronously send (relays, piggybacked responses) and
+    // re-enter push; the pop above keeps the queue consistent, and arm_sweep
     // below coalesces with any re-entrant arm.
     sink_->on_frame(std::move(t.f));
   }

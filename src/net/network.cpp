@@ -353,7 +353,6 @@ LinkId Network::add_link(const LinkSpec& spec) {
                         : [d = spec.prop_delay](Time) { return d; };
     c.byte_level = spec.byte_level;
     c.byte_level_seed = seed_ ^ (0x1000u * (id + 1)) ^ (forward ? 1u : 2u);
-    c.batched_delivery = spec.batched_delivery;
     return c;
   };
   const std::string tag = "link" + std::to_string(id);

@@ -68,7 +68,6 @@ ChaosVerdict run_chaos(const ChaosKnobs& knobs) {
   cfg.prop_delay = Time::milliseconds(5);
   cfg.frame_bytes = knobs.frame_bytes;
   cfg.seed = knobs.seed;
-  cfg.batched_delivery = knobs.batched_delivery;
   cfg.lams.checkpoint_interval = Time::milliseconds(5);
   cfg.lams.cumulation_depth = 4;
   cfg.lams.max_rtt = Time::milliseconds(15);

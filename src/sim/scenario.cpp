@@ -42,7 +42,6 @@ Scenario::Scenario(ScenarioConfig cfg)
   fwd.control_fec = cfg_.control_fec;
   fwd.byte_level = cfg_.byte_level_wire;
   fwd.byte_level_seed = cfg_.seed ^ 0xB17E;
-  fwd.batched_delivery = cfg_.batched_delivery;
   // Endpoints reject decoded frames whose sequence fields fall outside the
   // protocol's numbering size (NBDT numbers absolutely: no limit applies).
   switch (cfg_.protocol) {

@@ -1,23 +1,26 @@
 /// \file test_batching_identity.cpp
-/// \brief Batched channel delivery must be observably invisible.
+/// \brief Pinned delivery behaviour of the simulated channel.
 ///
-/// `link::SimplexChannel::Config::batched_delivery` replaces
-/// one-kernel-event-per-frame scheduling with a per-channel transit queue
-/// swept by a single armed event.  The hard requirement on that optimization
-/// is *bit identity*: per-frame delivery instants, same-instant ordering,
-/// drop/duplicate fates, and therefore every downstream artifact — metrics
-/// registry snapshots, `.ldlcap` capture bytes, delivery reports — must be
-/// byte-for-byte what the per-frame path produces.  These tests A/B the two
-/// modes over hostile schedules (faults, reordering jitter, duplicates,
-/// outages) on both the single-link chaos harness and a multi-hop
-/// store-and-forward network, and compare the artifacts wholesale.
+/// Every frame a `link::SimplexChannel` delivers passes through one transit
+/// discipline (`link::ChannelIngress`): frames wait in an arrival-ordered
+/// queue, FIFO among equal arrivals, swept by a single armed kernel event
+/// per channel.  Per-frame delivery instants, same-instant ordering and
+/// drop/duplicate fates feed every downstream artifact — metrics registry
+/// snapshots, `.ldlcap` capture bytes, delivery reports — so these tests pin
+/// those artifacts over hostile schedules (faults, reordering jitter,
+/// duplicates, outages) on the single-link chaos harness and on a multi-hop
+/// store-and-forward network.  Captures and registry snapshots are pinned as
+/// `size:digest` (FNV-1a-64 over the bytes): a single reordered or re-timed
+/// delivery on any channel changes the digest.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "lamsdlc/net/network.hpp"
 #include "lamsdlc/obs/capture.hpp"
@@ -31,6 +34,19 @@ namespace {
 
 using namespace lamsdlc::literals;
 
+/// "size:digest" of \p bytes, the digest being FNV-1a-64 in hex.
+std::string fingerprint(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%zu:%016llx", bytes.size(),
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
 // ------------------------------------------------------- single-link chaos --
 
 struct ChaosArtifacts {
@@ -38,11 +54,10 @@ struct ChaosArtifacts {
   std::string capture;  ///< Raw .ldlcap bytes of the full event stream.
 };
 
-ChaosArtifacts run_chaos_with_capture(std::uint64_t seed, bool batched) {
+ChaosArtifacts run_chaos_with_capture(std::uint64_t seed) {
   sim::ChaosKnobs k;
   k.seed = seed;
   k.packets = 150;
-  k.batched_delivery = batched;
   std::ostringstream cap;
   obs::CaptureWriter writer{cap};
   k.tap = [&writer](sim::Scenario& s) {
@@ -56,24 +71,30 @@ ChaosArtifacts run_chaos_with_capture(std::uint64_t seed, bool batched) {
 
 // Randomized fault schedules (drop / duplicate / reorder / truncate /
 // corrupt, forward and reverse, plus outages and congestion) across several
-// seeds: the batched run must reproduce the per-frame run's metrics registry
-// and capture stream byte-for-byte.
+// seeds: the metrics registry and the capture stream are pinned byte for
+// byte.
 TEST(BatchingIdentity, ChaosMetricsAndCaptureAreByteIdentical) {
-  for (std::uint64_t seed : {3u, 11u, 29u, 57u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const ChaosArtifacts batched = run_chaos_with_capture(seed, true);
-    const ChaosArtifacts perframe = run_chaos_with_capture(seed, false);
-
-    EXPECT_EQ(batched.verdict.ok, perframe.verdict.ok);
-    EXPECT_EQ(batched.verdict.completed, perframe.verdict.completed);
-    EXPECT_EQ(batched.verdict.schedule, perframe.verdict.schedule);
-    EXPECT_EQ(batched.verdict.metrics_json, perframe.verdict.metrics_json);
-    EXPECT_EQ(batched.verdict.report.unique_delivered,
-              perframe.verdict.report.unique_delivered);
-    // The capture holds every typed event with picosecond timestamps; a
-    // single reordered or re-timed delivery shows up as a byte difference.
-    EXPECT_FALSE(batched.capture.empty());
-    EXPECT_EQ(batched.capture, perframe.capture);
+  struct Pinned {
+    std::uint64_t seed;
+    const char* capture;
+    const char* metrics;
+    std::uint64_t unique_delivered;
+  };
+  const std::vector<Pinned> pinned = {
+      {3, "16381:6efc160e6052e4ae", "1631:14eea2ea3b03404c", 150},
+      {11, "13354:dba4fba3e6217b00", "1463:47e28b95b8d20e63", 150},
+      {29, "11099:1741ff937cc0f5f3", "1307:243e7ac562683bf5", 150},
+      {57, "10623:b419c7e945f53350", "1272:112b77c9ae2101dd", 150},
+  };
+  for (const Pinned& want : pinned) {
+    SCOPED_TRACE("seed " + std::to_string(want.seed));
+    const ChaosArtifacts got = run_chaos_with_capture(want.seed);
+    EXPECT_TRUE(got.verdict.ok);
+    EXPECT_TRUE(got.verdict.completed);
+    EXPECT_EQ(got.verdict.report.unique_delivered, want.unique_delivered);
+    // The capture holds every typed event with picosecond timestamps.
+    EXPECT_EQ(fingerprint(got.capture), want.capture);
+    EXPECT_EQ(fingerprint(got.verdict.metrics_json), want.metrics);
   }
 }
 
@@ -87,8 +108,10 @@ struct NetArtifacts {
 
 /// Four-node chain with hostile middle links: silent drops, duplicates and
 /// reordering jitter on the relay hops, bidirectional traffic so both flows
-/// of every duplex link carry data and checkpoints at once.
-NetArtifacts run_multihop(bool batched) {
+/// of every duplex link carry data and checkpoints at once.  Every channel
+/// and every LAMS endpoint emits onto the captured bus, so same-instant
+/// ordering across channels and endpoints is part of what is pinned.
+NetArtifacts run_multihop() {
   Simulator sim;
   obs::EventBus bus;
   obs::Registry reg;
@@ -115,7 +138,7 @@ NetArtifacts run_multihop(bool batched) {
     // Keep the provable-non-delivery margin above the injected jitter bound,
     // as the release rule requires (LamsConfig::release_margin).
     s.lams.release_margin = 800_us;
-    s.batched_delivery = batched;
+    s.bus_for = [&bus](net::NodeId, net::NodeId, bool) { return &bus; };
     return s;
   };
   const net::LinkId l0 = net.add_link(make_spec(a, r1));
@@ -123,8 +146,7 @@ NetArtifacts run_multihop(bool batched) {
   const net::LinkId l2 = net.add_link(make_spec(r2, b));
 
   // Hostile relay hops: data-path drops/duplicates/reordering on the middle
-  // link, reverse-direction (checkpoint) jitter on the last hop.  Same seeds
-  // in both modes — fates are drawn at send time, which batching never moves.
+  // link, reverse-direction (checkpoint) jitter on the last hop.
   auto add_faults = [&](link::SimplexChannel& ch, const char* label,
                         double p_drop, double p_dup, double p_reorder) {
     phy::FaultInjector::Config fc;
@@ -164,24 +186,20 @@ NetArtifacts run_multihop(bool batched) {
 }
 
 TEST(BatchingIdentity, MultiHopChaosIsByteIdentical) {
-  const NetArtifacts batched = run_multihop(true);
-  const NetArtifacts perframe = run_multihop(false);
+  const NetArtifacts got = run_multihop();
 
-  EXPECT_EQ(batched.report.packets_sent, perframe.report.packets_sent);
-  EXPECT_EQ(batched.report.packets_delivered, perframe.report.packets_delivered);
-  EXPECT_EQ(batched.report.duplicate_deliveries,
-            perframe.report.duplicate_deliveries);
-  EXPECT_EQ(batched.report.packets_forwarded, perframe.report.packets_forwarded);
-  EXPECT_EQ(batched.report.messages_completed, perframe.report.messages_completed);
-  EXPECT_DOUBLE_EQ(batched.report.mean_delay_s, perframe.report.mean_delay_s);
-  EXPECT_DOUBLE_EQ(batched.report.max_delay_s, perframe.report.max_delay_s);
+  EXPECT_EQ(got.report.packets_sent, 76u);
+  EXPECT_EQ(got.report.packets_delivered, 76u);
+  EXPECT_EQ(got.report.duplicate_deliveries, 0u);
+  EXPECT_EQ(got.report.packets_forwarded, 152u);
+  EXPECT_EQ(got.report.messages_completed, 1u);
+  EXPECT_DOUBLE_EQ(got.report.mean_delay_s, 0.011151821651921049);
+  EXPECT_DOUBLE_EQ(got.report.max_delay_s, 0.02252544);
   // Registry snapshot and the full event capture: one re-timed delivery on
-  // any of the six channels diverges both.
-  EXPECT_EQ(batched.metrics_json, perframe.metrics_json);
-  EXPECT_FALSE(batched.capture.empty());
-  EXPECT_EQ(batched.capture, perframe.capture);
-  // Sanity: the schedule was actually hostile and traffic still completed.
-  EXPECT_GT(batched.report.packets_delivered, 0u);
+  // any of the six channels, or one same-instant swap between channels and
+  // endpoints, diverges the capture.
+  EXPECT_EQ(fingerprint(got.capture), "17228:2b411c258f67826a");
+  EXPECT_EQ(fingerprint(got.metrics_json), "1317:8d99327fa706992c");
 }
 
 }  // namespace

@@ -180,11 +180,21 @@ TEST(SimplexChannel, FramesInFlightAtFailureAreLost) {
   SimplexChannel ch{sim, cfg_100mbps_5ms(), std::make_unique<phy::PerfectChannel>()};
   RecordingSink sink{sim};
   ch.set_sink(&sink);
+  obs::EventBus bus;
+  std::vector<obs::Event> events;
+  bus.subscribe([&events](const obs::Event& e) { events.push_back(e); });
+  ch.set_event_bus(&bus, obs::Source::kLinkForward);
   ch.send(iframe(0, 100));
   // Kill the link while the frame is propagating (after tx, before arrival).
   sim.schedule_at(1_ms, [&] { ch.set_up(false); });
   sim.run();
   EXPECT_TRUE(sink.arrivals.empty());
+  // The frame is lost on arrival, counted once and reported once.
+  EXPECT_EQ(ch.frames_dropped(), 1u);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].kind, obs::EventKind::kFrameDropped);
+  EXPECT_EQ(events[0].p.drop.cause, obs::DropCause::kLinkDown);
+  EXPECT_EQ(events[0].at, ch.tx_time(iframe(0, 100)) + 5_ms);
 }
 
 TEST(SimplexChannel, RestoredLinkCarriesTrafficAgain) {

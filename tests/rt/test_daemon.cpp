@@ -269,6 +269,22 @@ bool braces_balanced(const std::string& doc) {
   return depth == 0 && !in_str;
 }
 
+/// Poll \p done every 10 ms from the daemon's own loop and stop the loop once
+/// it is set or the loop clock passes \p watchdog.  The EventLoop is
+/// single-threaded, so a test thread must not call `stop()` itself while
+/// `run()` is live on another thread.
+void stop_from_loop_when(rt::Daemon& daemon, const std::atomic<bool>& done,
+                         Time watchdog) {
+  daemon.loop().sim().schedule_in(
+      Time::milliseconds(10), [&daemon, &done, watchdog] {
+        if (done.load() || daemon.loop().now() > watchdog) {
+          daemon.stop();
+        } else {
+          stop_from_loop_when(daemon, done, watchdog);
+        }
+      });
+}
+
 // Concurrent status scrapes against an active impaired transfer: every
 // response is a complete untorn snapshot, the delivered counter is monotone
 // across scrapes, and all four endpoint verbs answer.
@@ -366,17 +382,15 @@ TEST(Daemon, StatusEndpointRejectsUnknownVerbs) {
 
   rt::Daemon daemon{cfg};
   daemon.start();
-  daemon.loop().sim().schedule_in(Time::seconds(10), [&] { daemon.stop(); });
+  std::atomic<bool> done{false};
+  stop_from_loop_when(daemon, done, Time::seconds(10));
   std::thread loop{[&] { daemon.run(); }};
 
   EXPECT_EQ(status_request(daemon.status_port(), "gimme"),
             "ERR unknown-command\n");
   const std::string doc = status_request(daemon.status_port(), "status");
   EXPECT_TRUE(braces_balanced(doc));
-  daemon.stop();
-  // stop() from another thread is only noticed at the next loop wakeup;
-  // one more connection provides it (instead of the 10 s watchdog).
-  (void)status_request(daemon.status_port(), "status");
+  done.store(true);
   loop.join();
 }
 
@@ -390,17 +404,8 @@ TEST(Daemon, SilentStatusConnectionIsClosedAtTheIdleDeadline) {
 
   rt::Daemon daemon{cfg};
   daemon.start();
-  // The loop thread stops itself once the test says so (or at a watchdog),
-  // so stop() never runs concurrently with the loop.
   std::atomic<bool> done{false};
-  std::function<void()> poll = [&] {
-    if (done.load() || daemon.loop().now() > Time::seconds(20)) {
-      daemon.stop();
-    } else {
-      daemon.loop().sim().schedule_in(Time::milliseconds(10), poll);
-    }
-  };
-  daemon.loop().sim().schedule_in(Time{}, poll);
+  stop_from_loop_when(daemon, done, Time::seconds(20));
   std::thread loop{[&] { daemon.run(); }};
 
   // EXPECT, not ASSERT, from here on: an early return would leave the loop
