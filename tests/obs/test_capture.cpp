@@ -166,6 +166,94 @@ TEST(Capture, EveryKindRoundTripsLosslessly) {
   }
 }
 
+/// A round trip cannot see a layout change that moves encoder and decoder
+/// together, so this pins the on-disk bytes and the JSON of every kind.  The
+/// literals are what the v3 writer and `to_json` produce for
+/// `sample_events()`; a mismatch means the capture format or the JSON schema
+/// changed, which needs a version bump (capture) or a docs change (JSON).
+TEST(Capture, SampleLayoutIsPinned) {
+  // Header, then one record per sample event.
+  const char* const kRecordHex[] = {
+      "4c444c4341500a0003000000",
+      "80a8d6b9070000ffffffffff1fcec2f105030000",
+      "80d1d3820101011104000100",
+      "80d1d38201000212050100c0c39307",
+      "80d1d3820100031306020000",
+      "80d1d382010204000015",
+      "80d1d382010205050100",
+      "80d1d382010306040103",
+      "80d1d38201020703002c",
+      "80d1d38201010809f403000c056465666768696a6b",
+      "80d1d38201000909f4030201014d",
+      "80d1d38201010a90f1d9a2a302",
+      "80d1d38201010b011f",
+      "80d1d38201000c018090cad2c60e",
+      "80d1d38201000d0000",
+      "80d1d38201000e000100",
+      "80d1d38201000ff0ffffffff01f7ffffffff01b1d1f9d60304",
+      "80d1d38201001000b2f219000000",
+      "80d1d3820101115bb2f219000000",
+      "80d1d382010412156c616d732e73656e6465722e696672616d655f7478000000004"
+      "04a93c001",
+      "80d1d3820104122f787878787878787878787878787878787878787878787878"
+      "787878787878787878787878787878787878787878787800000010e236e84100",
+      "80d1d38201011307ffffffffff012a",
+      "80d1d3820100140a01effdb6f50d07",
+      "80d1d382010015ef9baf05030206",
+      "80d1d382010116ef9baf05030207",
+  };
+  const char* const kJson[] = {
+      R"({"t_ps":1000000000,"source":"lams.sender","kind":"frame_sent","ctr":1099511627775,"packet_id":12345678,"attempt":3,"control":false,"holding_ps":0})",
+      R"({"t_ps":1137000000,"source":"lams.receiver","kind":"frame_received","ctr":17,"packet_id":4,"attempt":0,"control":true,"holding_ps":0})",
+      R"({"t_ps":1274000000,"source":"lams.sender","kind":"frame_released","ctr":18,"packet_id":5,"attempt":1,"control":false,"holding_ps":7500000})",
+      R"({"t_ps":1411000000,"source":"lams.sender","kind":"retransmit_queued","ctr":19,"packet_id":6,"attempt":2,"control":false,"holding_ps":0})",
+      R"({"t_ps":1548000000,"source":"link.forward","kind":"frame_corrupted","cause":"wire_corruption","control":false,"ctr":21})",
+      R"({"t_ps":1685000000,"source":"link.forward","kind":"frame_dropped","cause":"link_down","control":true,"ctr":0})",
+      R"({"t_ps":1822000000,"source":"link.reverse","kind":"frame_duplicated","cause":"fault_duplicate","control":true,"ctr":3})",
+      R"({"t_ps":1959000000,"source":"link.forward","kind":"frame_delayed","cause":"fault_jitter","control":false,"ctr":44})",
+      R"({"t_ps":2096000000,"source":"lams.receiver","kind":"checkpoint_emitted","cp_seq":9,"highest_seen":500,"missed":0,"nak_count":12,"any_seen":true,"enforced":false,"stop_go":true,"resync_req":false,"naks":[100,101,102,103,104,105,106,107]})",
+      R"({"t_ps":2233000000,"source":"lams.sender","kind":"checkpoint_processed","cp_seq":9,"highest_seen":500,"missed":2,"nak_count":1,"any_seen":true,"enforced":false,"stop_go":false,"resync_req":false,"naks":[77]})",
+      R"({"t_ps":2370000000,"source":"lams.receiver","kind":"nak_generated","ctr":78187493520})",
+      R"({"t_ps":2507000000,"source":"lams.receiver","kind":"buffer_occupancy","buffer":"recv_buffer","depth":31})",
+      R"({"t_ps":2644000000,"source":"lams.sender","kind":"timer_armed","timer":"failure_timer","deadline_ps":250000000000})",
+      R"({"t_ps":2781000000,"source":"lams.sender","kind":"timer_fired","timer":"checkpoint_timer","deadline_ps":0})",
+      R"({"t_ps":2918000000,"source":"lams.sender","kind":"recovery_transition","from":"normal","to":"enforced_recovery","reason":"checkpoint_silence"})",
+      R"({"t_ps":3055000000,"source":"lams.sender","kind":"retransmit_mapped","old_ctr":68719476720,"new_ctr":68719476727,"packet_id":987654321,"attempt":4})",
+      R"({"t_ps":3192000000,"source":"lams.sender","kind":"packet_admitted","ctr":0,"packet_id":424242,"attempt":0,"control":false,"holding_ps":0})",
+      R"({"t_ps":3329000000,"source":"lams.receiver","kind":"packet_delivered","ctr":91,"packet_id":424242,"attempt":0,"control":false,"holding_ps":0})",
+      R"({"t_ps":3466000000,"source":"other","kind":"metric_sample","name":"lams.sender.iframe_tx","value":-1234.56,"is_counter":true})",
+      R"({"t_ps":3603000000,"source":"other","kind":"metric_sample","name":"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx","value":3.25e+09,"is_counter":false})",
+      R"({"t_ps":3740000000,"source":"lams.receiver","kind":"self_audit_failed","check":"receiver_nak_coherence","a":68719476735,"b":42})",
+      R"({"t_ps":3877000000,"source":"lams.sender","kind":"state_corrupted","class":10,"target":"receiver","a":3735928559,"b":7})",
+      R"({"t_ps":4014000000,"source":"lams.sender","kind":"resync_initiated","token":11259375,"epoch":3,"attempt":2,"reason":"progress_watchdog"})",
+      R"({"t_ps":4151000000,"source":"lams.receiver","kind":"resync_completed","token":11259375,"epoch":3,"attempt":2,"reason":"resync_requested"})",
+  };
+  const std::vector<Event> in = sample_events();
+  ASSERT_EQ(std::size(kJson), in.size());
+  ASSERT_EQ(std::size(kRecordHex), in.size() + 1);
+
+  auto hex = [](const std::string& bytes, std::size_t from) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string out;
+    for (std::size_t i = from; i < bytes.size(); ++i) {
+      const auto b = static_cast<unsigned char>(bytes[i]);
+      out += kDigits[b >> 4];
+      out += kDigits[b & 0xF];
+    }
+    return out;
+  };
+  std::stringstream ss;
+  CaptureWriter w{ss};
+  EXPECT_EQ(hex(ss.str(), 0), kRecordHex[0]) << "header";
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::size_t from = ss.str().size();
+    w.write(in[i]);
+    EXPECT_EQ(hex(ss.str(), from), kRecordHex[i + 1])
+        << "record " << i << " (" << to_string(in[i].kind) << ")";
+    EXPECT_EQ(to_json(in[i]), kJson[i]) << "record " << i;
+  }
+}
+
 TEST(Capture, NonMonotoneTimestampsSurviveZigzag) {
   std::vector<Event> in;
   Event e;
