@@ -14,10 +14,11 @@
 /// `delta` is the difference in picoseconds from the previous record's
 /// timestamp (from 0 for the first record); simulation timestamps are
 /// nondecreasing so deltas are tiny and varint-friendly, but the zigzag
-/// encoding keeps the format correct for arbitrary streams.  The payload
-/// layout is fixed per `EventKind` (see capture.cpp); unknown kinds make a
-/// file unreadable, which is why the kind enums are append-only and the
-/// header carries a schema version.
+/// encoding keeps the format correct for arbitrary streams.  The payload is
+/// the kind's payload struct written field by field, in the order of its
+/// `fields()` list (event.hpp); unknown kinds make a file unreadable, which
+/// is why the kind enums are append-only and the header carries a schema
+/// version.
 ///
 /// Version history (readers accept every listed version — the kind enums are
 /// append-only, so an older file simply never contains the newer kinds):

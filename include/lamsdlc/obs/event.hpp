@@ -15,6 +15,14 @@
 /// `Event` trivially copyable and capture records compact while preserving
 /// the quantities the analyses need (how *many* NAKs, and which frames lead
 /// the list).
+///
+/// Each payload struct describes its layout once, in `fields()`: member,
+/// JSON key and wire encoding per field, in record order.  Payload equality
+/// is the defaulted member-wise `==`; the capture writer and reader
+/// (capture.cpp) and `to_json` walk the field lists, and `visit_payload` is
+/// the one mapping from kind to payload.  Adding a field is one list entry
+/// plus a `kCaptureVersion` bump; a member missing from its list fails the
+/// build (`field_list_complete`).
 
 #include <array>
 #include <cstddef>
@@ -22,6 +30,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
 
 #include "lamsdlc/core/time.hpp"
 
@@ -143,6 +153,47 @@ inline constexpr std::uint8_t kBufferIdCount = 2;
 /// always carried; entries beyond this many are summarized by the count).
 inline constexpr std::size_t kMaxInlineNaks = 8;
 
+/// Field encodings: how a payload field is stored in a capture record and
+/// shown in JSON.  Every one-byte encoding is a plain u8 on the wire.
+namespace wire {
+struct Varint {};   ///< LEB128; JSON number.
+struct Svarint {};  ///< Zigzag LEB128; JSON number.
+struct F64 {};      ///< IEEE-754 bits as u64 little-endian; JSON number.
+struct Text {};     ///< u8 length + bytes of a NUL-padded array; JSON string.
+struct Byte {};     ///< u8; JSON number.
+struct Bool {};     ///< u8; JSON true/false (nonzero is true).
+/// u8 below `count` (the decoder rejects the rest); JSON `to_string` name.
+struct Enum {
+  std::uint8_t count;
+};
+/// u8; JSON `zero` for 0, `nonzero` otherwise.
+struct Choice {
+  const char* zero;
+  const char* nonzero;
+};
+/// u8 bit set; JSON one bool per named bit (bit i = names[i]), no own key.
+struct Bits {
+  const char* names[8];
+};
+/// Array whose first min(p.*count, size) entries are varints; JSON array.
+template <class P, class N>
+struct CountedBy {
+  N P::*count;
+};
+template <class W>
+inline constexpr bool is_counted_by = false;
+template <class P, class N>
+inline constexpr bool is_counted_by<CountedBy<P, N>> = true;
+}  // namespace wire
+
+/// One entry of a payload's field list.
+template <class P, class M, class W>
+struct Field {
+  M P::*member;
+  const char* key;  ///< JSON key (also names the field in decode errors).
+  W wire;
+};
+
 /// kFrameSent / kFrameReceived / kFrameReleased / kRetransmitQueued /
 /// kPacketAdmitted (ctr 0, nothing transmitted yet) / kPacketDelivered.
 struct FramePayload {
@@ -151,6 +202,16 @@ struct FramePayload {
   std::uint32_t attempt = 0;    ///< Transmission attempt, 1-based (tx only).
   std::uint8_t control = 0;     ///< 1 when the frame is a control command.
   std::int64_t holding_ps = 0;  ///< kFrameReleased: first tx → release.
+
+  bool operator==(const FramePayload&) const = default;
+  static constexpr auto fields() {
+    using P = FramePayload;
+    return std::tuple{Field{&P::ctr, "ctr", wire::Varint{}},
+                      Field{&P::packet_id, "packet_id", wire::Varint{}},
+                      Field{&P::attempt, "attempt", wire::Varint{}},
+                      Field{&P::control, "control", wire::Bool{}},
+                      Field{&P::holding_ps, "holding_ps", wire::Svarint{}}};
+  }
 };
 
 /// kFrameCorrupted / kFrameDropped / kFrameDuplicated / kFrameDelayed.
@@ -158,6 +219,14 @@ struct DropPayload {
   DropCause cause = DropCause::kWireCorruption;
   std::uint8_t control = 0;  ///< 1 when the frame is a control command.
   std::uint64_t ctr = 0;     ///< Wire sequence if known, else 0.
+
+  bool operator==(const DropPayload&) const = default;
+  static constexpr auto fields() {
+    using P = DropPayload;
+    return std::tuple{Field{&P::cause, "cause", wire::Enum{kDropCauseCount}},
+                      Field{&P::control, "control", wire::Bool{}},
+                      Field{&P::ctr, "ctr", wire::Varint{}}};
+  }
 };
 
 /// kCheckpointEmitted / kCheckpointProcessed.
@@ -177,23 +246,55 @@ struct CheckpointPayload {
   [[nodiscard]] std::size_t inline_naks() const noexcept {
     return nak_count < kMaxInlineNaks ? nak_count : kMaxInlineNaks;
   }
+
+  bool operator==(const CheckpointPayload&) const = default;
+  static constexpr auto fields() {
+    using P = CheckpointPayload;
+    return std::tuple{
+        Field{&P::cp_seq, "cp_seq", wire::Varint{}},
+        Field{&P::highest_seen, "highest_seen", wire::Varint{}},
+        Field{&P::missed, "missed", wire::Varint{}},
+        Field{&P::nak_count, "nak_count", wire::Varint{}},
+        Field{&P::flags, "flags",
+              wire::Bits{{"any_seen", "enforced", "stop_go", "resync_req"}}},
+        Field{&P::naks, "naks", wire::CountedBy{&P::nak_count}}};
+  }
 };
 
 /// kNakGenerated.
 struct NakPayload {
   std::uint64_t ctr = 0;  ///< Unwrapped counter of the damaged frame.
+
+  bool operator==(const NakPayload&) const = default;
+  static constexpr auto fields() {
+    return std::tuple{Field{&NakPayload::ctr, "ctr", wire::Varint{}}};
+  }
 };
 
 /// kBufferOccupancy.
 struct BufferPayload {
   BufferId which = BufferId::kSendBuffer;
   std::uint32_t depth = 0;  ///< Occupancy in frames after the change.
+
+  bool operator==(const BufferPayload&) const = default;
+  static constexpr auto fields() {
+    using P = BufferPayload;
+    return std::tuple{Field{&P::which, "buffer", wire::Enum{kBufferIdCount}},
+                      Field{&P::depth, "depth", wire::Varint{}}};
+  }
 };
 
 /// kTimerArmed / kTimerFired.
 struct TimerPayload {
   TimerId timer = TimerId::kCheckpointTimer;
   std::int64_t deadline_ps = 0;  ///< Armed only: absolute expiry instant.
+
+  bool operator==(const TimerPayload&) const = default;
+  static constexpr auto fields() {
+    using P = TimerPayload;
+    return std::tuple{Field{&P::timer, "timer", wire::Enum{kTimerIdCount}},
+                      Field{&P::deadline_ps, "deadline_ps", wire::Svarint{}}};
+  }
 };
 
 /// kRecoveryTransition.
@@ -201,6 +302,15 @@ struct RecoveryPayload {
   SenderMode from = SenderMode::kNormal;
   SenderMode to = SenderMode::kNormal;
   RecoveryReason reason = RecoveryReason::kCheckpointSilence;
+
+  bool operator==(const RecoveryPayload&) const = default;
+  static constexpr auto fields() {
+    using P = RecoveryPayload;
+    return std::tuple{
+        Field{&P::from, "from", wire::Enum{kSenderModeCount}},
+        Field{&P::to, "to", wire::Enum{kSenderModeCount}},
+        Field{&P::reason, "reason", wire::Enum{kRecoveryReasonCount}}};
+  }
 };
 
 /// kRetransmitMapped: the renumbering pairing the trace reconstruction
@@ -213,6 +323,15 @@ struct RetransmitMapPayload {
   std::uint64_t new_ctr = 0;   ///< Fresh counter assigned to the retransmission.
   std::uint64_t packet_id = 0;
   std::uint32_t attempt = 0;   ///< Attempt number of the new copy (>= 2).
+
+  bool operator==(const RetransmitMapPayload&) const = default;
+  static constexpr auto fields() {
+    using P = RetransmitMapPayload;
+    return std::tuple{Field{&P::old_ctr, "old_ctr", wire::Varint{}},
+                      Field{&P::new_ctr, "new_ctr", wire::Varint{}},
+                      Field{&P::packet_id, "packet_id", wire::Varint{}},
+                      Field{&P::attempt, "attempt", wire::Varint{}}};
+  }
 };
 
 /// kSelfAuditFailed: one tripped check with two check-specific detail values
@@ -221,6 +340,14 @@ struct AuditPayload {
   AuditCheck check = AuditCheck::kSenderCtrCoherence;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
+
+  bool operator==(const AuditPayload&) const = default;
+  static constexpr auto fields() {
+    using P = AuditPayload;
+    return std::tuple{Field{&P::check, "check", wire::Enum{kAuditCheckCount}},
+                      Field{&P::a, "a", wire::Varint{}},
+                      Field{&P::b, "b", wire::Varint{}}};
+  }
 };
 
 /// kStateCorrupted: a harness-injected corruption (verif::StateCorruptor).
@@ -231,6 +358,15 @@ struct CorruptionPayload {
   std::uint8_t target = 0;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
+
+  bool operator==(const CorruptionPayload&) const = default;
+  static constexpr auto fields() {
+    using P = CorruptionPayload;
+    return std::tuple{
+        Field{&P::cls, "class", wire::Byte{}},
+        Field{&P::target, "target", wire::Choice{"sender", "receiver"}},
+        Field{&P::a, "a", wire::Varint{}}, Field{&P::b, "b", wire::Varint{}}};
+  }
 };
 
 /// kResyncInitiated / kResyncCompleted.
@@ -239,6 +375,16 @@ struct ResyncPayload {
   std::uint32_t epoch = 0;
   std::uint32_t attempt = 0;  ///< RESYNC transmissions so far this episode.
   RecoveryReason reason = RecoveryReason::kSelfAuditFailure;
+
+  bool operator==(const ResyncPayload&) const = default;
+  static constexpr auto fields() {
+    using P = ResyncPayload;
+    return std::tuple{
+        Field{&P::token, "token", wire::Varint{}},
+        Field{&P::epoch, "epoch", wire::Varint{}},
+        Field{&P::attempt, "attempt", wire::Varint{}},
+        Field{&P::reason, "reason", wire::Enum{kRecoveryReasonCount}}};
+  }
 };
 
 /// Metric-name capacity of a kMetricSample record; longer names truncate.
@@ -261,6 +407,14 @@ struct MetricSamplePayload {
     while (len < kMetricNameCap && name[len] != '\0') ++len;
     return {name.data(), len};
   }
+
+  bool operator==(const MetricSamplePayload&) const = default;
+  static constexpr auto fields() {
+    using P = MetricSamplePayload;
+    return std::tuple{Field{&P::name, "name", wire::Text{}},
+                      Field{&P::value, "value", wire::F64{}},
+                      Field{&P::is_counter, "is_counter", wire::Bool{}}};
+  }
 };
 
 /// One observed protocol event.  Trivially copyable; the active union member
@@ -282,11 +436,84 @@ struct Event {
     AuditPayload audit;
     CorruptionPayload corruption;
     ResyncPayload resync;
-    constexpr Payload() noexcept : frame{} {}
+    /// Starts the largest member, so a fresh event reads zero through every
+    /// payload (and inline NAKs past the count compare equal).
+    constexpr Payload() noexcept : sample{} {}
   } p;
 };
+static_assert(sizeof(MetricSamplePayload) == sizeof(Event::Payload));
 
-/// Field-wise equality of the active payload (padding-safe; never memcmp).
+/// The one mapping from kind to payload: calls \p fn with a pointer to the
+/// `Event::Payload` member that \p kind carries (not at all for a value
+/// outside the enum).  Equality, the capture codec and `to_json` reach
+/// payloads only through here.
+template <class Fn>
+constexpr void visit_payload(EventKind kind, Fn&& fn) {
+  using P = Event::Payload;
+  switch (kind) {
+    case EventKind::kFrameSent:
+    case EventKind::kFrameReceived:
+    case EventKind::kFrameReleased:
+    case EventKind::kRetransmitQueued:
+    case EventKind::kPacketAdmitted:
+    case EventKind::kPacketDelivered: return fn(&P::frame);
+    case EventKind::kFrameCorrupted:
+    case EventKind::kFrameDropped:
+    case EventKind::kFrameDuplicated:
+    case EventKind::kFrameDelayed: return fn(&P::drop);
+    case EventKind::kCheckpointEmitted:
+    case EventKind::kCheckpointProcessed: return fn(&P::checkpoint);
+    case EventKind::kNakGenerated: return fn(&P::nak);
+    case EventKind::kBufferOccupancy: return fn(&P::buffer);
+    case EventKind::kTimerArmed:
+    case EventKind::kTimerFired: return fn(&P::timer);
+    case EventKind::kRecoveryTransition: return fn(&P::recovery);
+    case EventKind::kRetransmitMapped: return fn(&P::map);
+    case EventKind::kMetricSample: return fn(&P::sample);
+    case EventKind::kSelfAuditFailed: return fn(&P::audit);
+    case EventKind::kStateCorrupted: return fn(&P::corruption);
+    case EventKind::kResyncInitiated:
+    case EventKind::kResyncCompleted: return fn(&P::resync);
+  }
+}
+
+namespace detail {
+/// Converts to any member type, so counting how many of these an aggregate
+/// accepts as initializers counts its members.
+struct AnyMember {
+  template <class T>
+  operator T() const;
+};
+template <class T, class... Probe>
+constexpr std::size_t member_count() {
+  if constexpr (requires { T{Probe{}..., AnyMember{}}; }) {
+    return member_count<T, Probe..., AnyMember>();
+  } else {
+    return sizeof...(Probe);
+  }
+}
+}  // namespace detail
+
+/// True when every data member of payload \p P has an entry in `P::fields()`.
+template <class P>
+constexpr bool field_list_complete() {
+  return detail::member_count<P>() == std::tuple_size_v<decltype(P::fields())>;
+}
+
+/// Calls `fn(payload, field)` for each entry of the field list of the
+/// payload \p e carries, in record order.  \p E is `Event` or `const Event`.
+template <class E, class Fn>
+constexpr void for_each_field(E& e, Fn&& fn) {
+  visit_payload(e.kind, [&](auto member) {
+    auto& p = e.p.*member;
+    using P = std::remove_cvref_t<decltype(p)>;
+    static_assert(field_list_complete<P>(),
+                  "a payload member is missing from its field list");
+    std::apply([&](const auto&... f) { (fn(p, f), ...); }, P::fields());
+  });
+}
+
+/// Member-wise equality of the active payload (padding-safe; never memcmp).
 [[nodiscard]] bool operator==(const Event& a, const Event& b) noexcept;
 
 /// \name Enum names (stable lowercase identifiers, used by the CLI filters)

@@ -1,6 +1,9 @@
 #include "lamsdlc/obs/capture.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+#include <type_traits>
 
 namespace lamsdlc::obs {
 namespace {
@@ -45,24 +48,18 @@ void put_u64le(std::ostream& os, std::uint64_t v) {
   }
 }
 
-std::uint64_t double_bits(double d) noexcept {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) noexcept {
-  double d = 0;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
 /// Stateful decoder: any read past EOF or malformed varint sets `err`.
 struct Decoder {
   std::istream& is;
   std::string err;
 
   [[nodiscard]] bool ok() const noexcept { return err.empty(); }
+
+  void fail(const char* what, const char* field, unsigned value) {
+    if (err.empty()) {
+      err = std::string{what} + ' ' + field + ' ' + std::to_string(value);
+    }
+  }
 
   /// Returns -1 at EOF *before* any byte of the current record (clean end).
   int peek_byte() { return is.peek(); }
@@ -113,233 +110,58 @@ struct Decoder {
   }
 };
 
-void encode_payload(std::ostream& os, const Event& e) {
-  switch (e.kind) {
-    case EventKind::kFrameSent:
-    case EventKind::kFrameReceived:
-    case EventKind::kFrameReleased:
-    case EventKind::kRetransmitQueued:
-    case EventKind::kPacketAdmitted:
-    case EventKind::kPacketDelivered: {
-      const auto& f = e.p.frame;
-      put_varint(os, f.ctr);
-      put_varint(os, f.packet_id);
-      put_varint(os, f.attempt);
-      put_u8(os, f.control);
-      put_svarint(os, f.holding_ps);
-      break;
-    }
-    case EventKind::kFrameCorrupted:
-    case EventKind::kFrameDropped:
-    case EventKind::kFrameDuplicated:
-    case EventKind::kFrameDelayed: {
-      const auto& d = e.p.drop;
-      put_u8(os, static_cast<std::uint8_t>(d.cause));
-      put_u8(os, d.control);
-      put_varint(os, d.ctr);
-      break;
-    }
-    case EventKind::kCheckpointEmitted:
-    case EventKind::kCheckpointProcessed: {
-      const auto& cp = e.p.checkpoint;
-      put_varint(os, cp.cp_seq);
-      put_varint(os, cp.highest_seen);
-      put_varint(os, cp.missed);
-      put_varint(os, cp.nak_count);
-      put_u8(os, cp.flags);
-      for (std::size_t i = 0; i < cp.inline_naks(); ++i) {
-        put_varint(os, cp.naks[i]);
-      }
-      break;
-    }
-    case EventKind::kNakGenerated:
-      put_varint(os, e.p.nak.ctr);
-      break;
-    case EventKind::kBufferOccupancy:
-      put_u8(os, static_cast<std::uint8_t>(e.p.buffer.which));
-      put_varint(os, e.p.buffer.depth);
-      break;
-    case EventKind::kTimerArmed:
-    case EventKind::kTimerFired:
-      put_u8(os, static_cast<std::uint8_t>(e.p.timer.timer));
-      put_svarint(os, e.p.timer.deadline_ps);
-      break;
-    case EventKind::kRecoveryTransition:
-      put_u8(os, static_cast<std::uint8_t>(e.p.recovery.from));
-      put_u8(os, static_cast<std::uint8_t>(e.p.recovery.to));
-      put_u8(os, static_cast<std::uint8_t>(e.p.recovery.reason));
-      break;
-    case EventKind::kRetransmitMapped:
-      put_varint(os, e.p.map.old_ctr);
-      put_varint(os, e.p.map.new_ctr);
-      put_varint(os, e.p.map.packet_id);
-      put_varint(os, e.p.map.attempt);
-      break;
-    case EventKind::kMetricSample: {
-      const auto name = e.p.sample.name_view();
-      put_u8(os, static_cast<std::uint8_t>(name.size()));
-      os.write(name.data(), static_cast<std::streamsize>(name.size()));
-      put_u64le(os, double_bits(e.p.sample.value));
-      put_u8(os, e.p.sample.is_counter);
-      break;
-    }
-    case EventKind::kSelfAuditFailed:
-      put_u8(os, static_cast<std::uint8_t>(e.p.audit.check));
-      put_varint(os, e.p.audit.a);
-      put_varint(os, e.p.audit.b);
-      break;
-    case EventKind::kStateCorrupted:
-      put_u8(os, e.p.corruption.cls);
-      put_u8(os, e.p.corruption.target);
-      put_varint(os, e.p.corruption.a);
-      put_varint(os, e.p.corruption.b);
-      break;
-    case EventKind::kResyncInitiated:
-    case EventKind::kResyncCompleted:
-      put_varint(os, e.p.resync.token);
-      put_varint(os, e.p.resync.epoch);
-      put_varint(os, e.p.resync.attempt);
-      put_u8(os, static_cast<std::uint8_t>(e.p.resync.reason));
-      break;
+/// Writes one payload field, as its encoding says.
+template <class P, class M, class W>
+void put_field(std::ostream& os, const P& p, const Field<P, M, W>& f) {
+  const M& v = p.*f.member;
+  if constexpr (std::is_same_v<W, wire::Varint>) {
+    put_varint(os, v);
+  } else if constexpr (std::is_same_v<W, wire::Svarint>) {
+    put_svarint(os, v);
+  } else if constexpr (std::is_same_v<W, wire::F64>) {
+    put_u64le(os, std::bit_cast<std::uint64_t>(v));
+  } else if constexpr (std::is_same_v<W, wire::Text>) {
+    std::string_view s{v.data(), v.size()};
+    s = s.substr(0, s.find('\0'));
+    put_u8(os, static_cast<std::uint8_t>(s.size()));
+    os.write(s.data(), static_cast<std::streamsize>(s.size()));
+  } else if constexpr (wire::is_counted_by<W>) {
+    const std::size_t n = std::min<std::size_t>(p.*f.wire.count, v.size());
+    for (std::size_t i = 0; i < n; ++i) put_varint(os, v[i]);
+  } else {
+    put_u8(os, static_cast<std::uint8_t>(v));  // every one-byte encoding
   }
 }
 
-bool decode_payload(Decoder& d, Event& e) {
-  switch (e.kind) {
-    case EventKind::kFrameSent:
-    case EventKind::kFrameReceived:
-    case EventKind::kFrameReleased:
-    case EventKind::kRetransmitQueued:
-    case EventKind::kPacketAdmitted:
-    case EventKind::kPacketDelivered: {
-      auto& f = e.p.frame;
-      f.ctr = d.varint("frame.ctr");
-      f.packet_id = d.varint("frame.packet_id");
-      f.attempt = static_cast<std::uint32_t>(d.varint("frame.attempt"));
-      f.control = d.u8("frame.control");
-      f.holding_ps = d.svarint("frame.holding_ps");
-      break;
+/// Reads one payload field, as its encoding says.
+template <class P, class M, class W>
+void get_field(Decoder& d, P& p, const Field<P, M, W>& f) {
+  M& v = p.*f.member;
+  if constexpr (std::is_same_v<W, wire::Varint>) {
+    v = static_cast<M>(d.varint(f.key));
+  } else if constexpr (std::is_same_v<W, wire::Svarint>) {
+    v = d.svarint(f.key);
+  } else if constexpr (std::is_same_v<W, wire::F64>) {
+    v = std::bit_cast<double>(d.u64le(f.key));
+  } else if constexpr (std::is_same_v<W, wire::Text>) {
+    const std::uint8_t len = d.u8(f.key);
+    if (len >= v.size()) return d.fail("bad length of", f.key, len);
+    v = {};
+    for (std::uint8_t i = 0; i < len; ++i) {
+      v[i] = static_cast<char>(d.u8(f.key));
     }
-    case EventKind::kFrameCorrupted:
-    case EventKind::kFrameDropped:
-    case EventKind::kFrameDuplicated:
-    case EventKind::kFrameDelayed: {
-      auto& dr = e.p.drop;
-      const std::uint8_t cause = d.u8("drop.cause");
-      if (cause >= kDropCauseCount) {
-        if (d.err.empty()) d.err = "bad drop cause";
-        return false;
-      }
-      dr.cause = static_cast<DropCause>(cause);
-      dr.control = d.u8("drop.control");
-      dr.ctr = d.varint("drop.ctr");
-      break;
+  } else if constexpr (wire::is_counted_by<W>) {
+    const std::size_t n = std::min<std::size_t>(p.*f.wire.count, v.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = static_cast<typename M::value_type>(d.varint(f.key));
     }
-    case EventKind::kCheckpointEmitted:
-    case EventKind::kCheckpointProcessed: {
-      auto& cp = e.p.checkpoint;
-      cp.cp_seq = static_cast<std::uint32_t>(d.varint("cp.seq"));
-      cp.highest_seen = static_cast<std::uint32_t>(d.varint("cp.highest"));
-      cp.missed = static_cast<std::uint32_t>(d.varint("cp.missed"));
-      cp.nak_count = static_cast<std::uint16_t>(d.varint("cp.nak_count"));
-      cp.flags = d.u8("cp.flags");
-      for (std::size_t i = 0; i < cp.inline_naks(); ++i) {
-        cp.naks[i] = static_cast<std::uint32_t>(d.varint("cp.nak"));
-      }
-      break;
-    }
-    case EventKind::kNakGenerated:
-      e.p.nak.ctr = d.varint("nak.ctr");
-      break;
-    case EventKind::kBufferOccupancy: {
-      const std::uint8_t which = d.u8("buffer.which");
-      if (which >= kBufferIdCount) {
-        if (d.err.empty()) d.err = "bad buffer id";
-        return false;
-      }
-      e.p.buffer.which = static_cast<BufferId>(which);
-      e.p.buffer.depth = static_cast<std::uint32_t>(d.varint("buffer.depth"));
-      break;
-    }
-    case EventKind::kTimerArmed:
-    case EventKind::kTimerFired: {
-      const std::uint8_t timer = d.u8("timer.id");
-      if (timer >= kTimerIdCount) {
-        if (d.err.empty()) d.err = "bad timer id";
-        return false;
-      }
-      e.p.timer.timer = static_cast<TimerId>(timer);
-      e.p.timer.deadline_ps = d.svarint("timer.deadline");
-      break;
-    }
-    case EventKind::kRecoveryTransition: {
-      const std::uint8_t from = d.u8("recovery.from");
-      const std::uint8_t to = d.u8("recovery.to");
-      const std::uint8_t reason = d.u8("recovery.reason");
-      if (from >= kSenderModeCount || to >= kSenderModeCount ||
-          reason >= kRecoveryReasonCount) {
-        if (d.err.empty()) d.err = "bad recovery payload";
-        return false;
-      }
-      e.p.recovery.from = static_cast<SenderMode>(from);
-      e.p.recovery.to = static_cast<SenderMode>(to);
-      e.p.recovery.reason = static_cast<RecoveryReason>(reason);
-      break;
-    }
-    case EventKind::kRetransmitMapped:
-      e.p.map.old_ctr = d.varint("map.old_ctr");
-      e.p.map.new_ctr = d.varint("map.new_ctr");
-      e.p.map.packet_id = d.varint("map.packet_id");
-      e.p.map.attempt = static_cast<std::uint32_t>(d.varint("map.attempt"));
-      break;
-    case EventKind::kMetricSample: {
-      const std::uint8_t len = d.u8("sample.name_len");
-      if (len >= kMetricNameCap) {
-        if (d.err.empty()) d.err = "bad metric name length";
-        return false;
-      }
-      char buf[kMetricNameCap] = {};
-      for (std::uint8_t i = 0; i < len; ++i) {
-        buf[i] = static_cast<char>(d.u8("sample.name"));
-      }
-      e.p.sample.set_name(std::string_view{buf, len});
-      e.p.sample.value = bits_double(d.u64le("sample.value"));
-      e.p.sample.is_counter = d.u8("sample.is_counter");
-      break;
-    }
-    case EventKind::kSelfAuditFailed: {
-      const std::uint8_t check = d.u8("audit.check");
-      if (check >= kAuditCheckCount) {
-        if (d.err.empty()) d.err = "bad audit check";
-        return false;
-      }
-      e.p.audit.check = static_cast<AuditCheck>(check);
-      e.p.audit.a = d.varint("audit.a");
-      e.p.audit.b = d.varint("audit.b");
-      break;
-    }
-    case EventKind::kStateCorrupted:
-      e.p.corruption.cls = d.u8("corruption.class");
-      e.p.corruption.target = d.u8("corruption.target");
-      e.p.corruption.a = d.varint("corruption.a");
-      e.p.corruption.b = d.varint("corruption.b");
-      break;
-    case EventKind::kResyncInitiated:
-    case EventKind::kResyncCompleted: {
-      e.p.resync.token = static_cast<std::uint32_t>(d.varint("resync.token"));
-      e.p.resync.epoch = static_cast<std::uint32_t>(d.varint("resync.epoch"));
-      e.p.resync.attempt =
-          static_cast<std::uint32_t>(d.varint("resync.attempt"));
-      const std::uint8_t reason = d.u8("resync.reason");
-      if (reason >= kRecoveryReasonCount) {
-        if (d.err.empty()) d.err = "bad resync reason";
-        return false;
-      }
-      e.p.resync.reason = static_cast<RecoveryReason>(reason);
-      break;
-    }
+  } else if constexpr (std::is_same_v<W, wire::Enum>) {
+    const std::uint8_t b = d.u8(f.key);
+    if (b >= f.wire.count) return d.fail("bad", f.key, b);
+    v = static_cast<M>(b);
+  } else {
+    v = d.u8(f.key);
   }
-  return d.ok();
 }
 
 }  // namespace
@@ -356,7 +178,8 @@ void CaptureWriter::write(const Event& e) {
   last_ps_ = e.at.ps();
   put_u8(os_, static_cast<std::uint8_t>(e.source));
   put_u8(os_, static_cast<std::uint8_t>(e.kind));
-  encode_payload(os_, e);
+  for_each_field(e,
+                 [&](const auto& p, const auto& f) { put_field(os_, p, f); });
   ++written_;
 }
 
@@ -409,8 +232,11 @@ std::optional<Event> CaptureReader::next() {
   }
   e.source = static_cast<Source>(source);
   e.kind = static_cast<EventKind>(kind);
-  if (!decode_payload(d, e)) {
-    error_ = d.err.empty() ? "malformed payload" : d.err;
+  for_each_field(e, [&](auto& p, const auto& f) {
+    if (d.ok()) get_field(d, p, f);
+  });
+  if (!d.ok()) {
+    error_ = d.err;
     return std::nullopt;
   }
   last_ps_ = e.at.ps();

@@ -1,59 +1,44 @@
 #include "lamsdlc/obs/event.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <type_traits>
 
 namespace lamsdlc::obs {
 namespace {
 
-bool frame_eq(const FramePayload& a, const FramePayload& b) noexcept {
-  return a.ctr == b.ctr && a.packet_id == b.packet_id &&
-         a.attempt == b.attempt && a.control == b.control &&
-         a.holding_ps == b.holding_ps;
-}
-
-bool drop_eq(const DropPayload& a, const DropPayload& b) noexcept {
-  return a.cause == b.cause && a.control == b.control && a.ctr == b.ctr;
-}
-
-bool checkpoint_eq(const CheckpointPayload& a,
-                   const CheckpointPayload& b) noexcept {
-  return a.cp_seq == b.cp_seq && a.highest_seen == b.highest_seen &&
-         a.missed == b.missed && a.nak_count == b.nak_count &&
-         a.flags == b.flags && a.naks == b.naks;
-}
-
-bool timer_eq(const TimerPayload& a, const TimerPayload& b) noexcept {
-  return a.timer == b.timer && a.deadline_ps == b.deadline_ps;
-}
-
-bool recovery_eq(const RecoveryPayload& a, const RecoveryPayload& b) noexcept {
-  return a.from == b.from && a.to == b.to && a.reason == b.reason;
-}
-
-bool map_eq(const RetransmitMapPayload& a,
-            const RetransmitMapPayload& b) noexcept {
-  return a.old_ctr == b.old_ctr && a.new_ctr == b.new_ctr &&
-         a.packet_id == b.packet_id && a.attempt == b.attempt;
-}
-
-bool sample_eq(const MetricSamplePayload& a,
-               const MetricSamplePayload& b) noexcept {
-  return a.name == b.name && a.value == b.value &&
-         a.is_counter == b.is_counter;
-}
-
-bool audit_eq(const AuditPayload& a, const AuditPayload& b) noexcept {
-  return a.check == b.check && a.a == b.a && a.b == b.b;
-}
-
-bool corruption_eq(const CorruptionPayload& a,
-                   const CorruptionPayload& b) noexcept {
-  return a.cls == b.cls && a.target == b.target && a.a == b.a && a.b == b.b;
-}
-
-bool resync_eq(const ResyncPayload& a, const ResyncPayload& b) noexcept {
-  return a.token == b.token && a.epoch == b.epoch && a.attempt == b.attempt &&
-         a.reason == b.reason;
+/// Appends one payload field to a JSON object, as its encoding says.
+template <class P, class M, class W>
+void put_json(std::ostream& os, const P& p, const Field<P, M, W>& f) {
+  const M& v = p.*f.member;
+  if constexpr (std::is_same_v<W, wire::Bits>) {
+    for (unsigned i = 0; i < 8 && f.wire.names[i] != nullptr; ++i) {
+      os << ",\"" << f.wire.names[i]
+         << "\":" << ((v >> i) & 1u ? "true" : "false");
+    }
+  } else {
+    os << ",\"" << f.key << "\":";
+    if constexpr (std::is_same_v<W, wire::Bool>) {
+      os << (v ? "true" : "false");
+    } else if constexpr (std::is_same_v<W, wire::Byte>) {
+      os << static_cast<unsigned>(v);
+    } else if constexpr (std::is_same_v<W, wire::Enum>) {
+      os << '"' << to_string(v) << '"';
+    } else if constexpr (std::is_same_v<W, wire::Choice>) {
+      os << '"' << (v == 0 ? f.wire.zero : f.wire.nonzero) << '"';
+    } else if constexpr (std::is_same_v<W, wire::Text>) {
+      // Metric names are dot/underscore identifiers; nothing to escape.
+      const std::string_view s{v.data(), v.size()};
+      os << '"' << s.substr(0, s.find('\0')) << '"';
+    } else if constexpr (wire::is_counted_by<W>) {
+      const std::size_t n = std::min<std::size_t>(p.*f.wire.count, v.size());
+      os << '[';
+      for (std::size_t i = 0; i < n; ++i) os << (i ? "," : "") << v[i];
+      os << ']';
+    } else {
+      os << v;  // Varint, Svarint, F64
+    }
+  }
 }
 
 const char* frame_verb(EventKind k) noexcept {
@@ -70,45 +55,10 @@ const char* frame_verb(EventKind k) noexcept {
 
 bool operator==(const Event& a, const Event& b) noexcept {
   if (a.at != b.at || a.source != b.source || a.kind != b.kind) return false;
-  switch (a.kind) {
-    case EventKind::kFrameSent:
-    case EventKind::kFrameReceived:
-    case EventKind::kFrameReleased:
-    case EventKind::kRetransmitQueued:
-    case EventKind::kPacketAdmitted:
-    case EventKind::kPacketDelivered:
-      return frame_eq(a.p.frame, b.p.frame);
-    case EventKind::kFrameCorrupted:
-    case EventKind::kFrameDropped:
-    case EventKind::kFrameDuplicated:
-    case EventKind::kFrameDelayed:
-      return drop_eq(a.p.drop, b.p.drop);
-    case EventKind::kCheckpointEmitted:
-    case EventKind::kCheckpointProcessed:
-      return checkpoint_eq(a.p.checkpoint, b.p.checkpoint);
-    case EventKind::kNakGenerated:
-      return a.p.nak.ctr == b.p.nak.ctr;
-    case EventKind::kBufferOccupancy:
-      return a.p.buffer.which == b.p.buffer.which &&
-             a.p.buffer.depth == b.p.buffer.depth;
-    case EventKind::kTimerArmed:
-    case EventKind::kTimerFired:
-      return timer_eq(a.p.timer, b.p.timer);
-    case EventKind::kRecoveryTransition:
-      return recovery_eq(a.p.recovery, b.p.recovery);
-    case EventKind::kRetransmitMapped:
-      return map_eq(a.p.map, b.p.map);
-    case EventKind::kMetricSample:
-      return sample_eq(a.p.sample, b.p.sample);
-    case EventKind::kSelfAuditFailed:
-      return audit_eq(a.p.audit, b.p.audit);
-    case EventKind::kStateCorrupted:
-      return corruption_eq(a.p.corruption, b.p.corruption);
-    case EventKind::kResyncInitiated:
-    case EventKind::kResyncCompleted:
-      return resync_eq(a.p.resync, b.p.resync);
-  }
-  return false;
+  bool same = false;
+  visit_payload(a.kind,
+                [&](auto member) { same = a.p.*member == b.p.*member; });
+  return same;
 }
 
 const char* to_string(EventKind k) noexcept {
@@ -358,92 +308,7 @@ std::string to_json(const Event& e) {
   std::ostringstream os;
   os << "{\"t_ps\":" << e.at.ps() << ",\"source\":\"" << to_string(e.source)
      << "\",\"kind\":\"" << to_string(e.kind) << '"';
-  switch (e.kind) {
-    case EventKind::kFrameSent:
-    case EventKind::kFrameReceived:
-    case EventKind::kFrameReleased:
-    case EventKind::kRetransmitQueued:
-    case EventKind::kPacketAdmitted:
-    case EventKind::kPacketDelivered: {
-      const auto& f = e.p.frame;
-      os << ",\"ctr\":" << f.ctr << ",\"packet_id\":" << f.packet_id
-         << ",\"attempt\":" << f.attempt
-         << ",\"control\":" << (f.control ? "true" : "false")
-         << ",\"holding_ps\":" << f.holding_ps;
-      break;
-    }
-    case EventKind::kFrameCorrupted:
-    case EventKind::kFrameDropped:
-    case EventKind::kFrameDuplicated:
-    case EventKind::kFrameDelayed: {
-      const auto& d = e.p.drop;
-      os << ",\"cause\":\"" << to_string(d.cause) << "\",\"control\":"
-         << (d.control ? "true" : "false") << ",\"ctr\":" << d.ctr;
-      break;
-    }
-    case EventKind::kCheckpointEmitted:
-    case EventKind::kCheckpointProcessed: {
-      const auto& cp = e.p.checkpoint;
-      os << ",\"cp_seq\":" << cp.cp_seq << ",\"highest_seen\":"
-         << cp.highest_seen << ",\"missed\":" << cp.missed
-         << ",\"nak_count\":" << cp.nak_count
-         << ",\"any_seen\":" << (cp.any_seen() ? "true" : "false")
-         << ",\"enforced\":" << (cp.enforced() ? "true" : "false")
-         << ",\"stop_go\":" << (cp.stop_go() ? "true" : "false")
-         << ",\"resync_req\":" << (cp.resync_req() ? "true" : "false")
-         << ",\"naks\":[";
-      for (std::size_t i = 0; i < cp.inline_naks(); ++i) {
-        if (i) os << ',';
-        os << cp.naks[i];
-      }
-      os << ']';
-      break;
-    }
-    case EventKind::kNakGenerated:
-      os << ",\"ctr\":" << e.p.nak.ctr;
-      break;
-    case EventKind::kBufferOccupancy:
-      os << ",\"buffer\":\"" << to_string(e.p.buffer.which)
-         << "\",\"depth\":" << e.p.buffer.depth;
-      break;
-    case EventKind::kTimerArmed:
-    case EventKind::kTimerFired:
-      os << ",\"timer\":\"" << to_string(e.p.timer.timer)
-         << "\",\"deadline_ps\":" << e.p.timer.deadline_ps;
-      break;
-    case EventKind::kRecoveryTransition:
-      os << ",\"from\":\"" << to_string(e.p.recovery.from) << "\",\"to\":\""
-         << to_string(e.p.recovery.to) << "\",\"reason\":\""
-         << to_string(e.p.recovery.reason) << '"';
-      break;
-    case EventKind::kRetransmitMapped:
-      os << ",\"old_ctr\":" << e.p.map.old_ctr << ",\"new_ctr\":"
-         << e.p.map.new_ctr << ",\"packet_id\":" << e.p.map.packet_id
-         << ",\"attempt\":" << e.p.map.attempt;
-      break;
-    case EventKind::kMetricSample:
-      // Metric names are dot/underscore identifiers; nothing to escape.
-      os << ",\"name\":\"" << e.p.sample.name_view() << "\",\"value\":"
-         << e.p.sample.value
-         << ",\"is_counter\":" << (e.p.sample.is_counter ? "true" : "false");
-      break;
-    case EventKind::kSelfAuditFailed:
-      os << ",\"check\":\"" << to_string(e.p.audit.check)
-         << "\",\"a\":" << e.p.audit.a << ",\"b\":" << e.p.audit.b;
-      break;
-    case EventKind::kStateCorrupted:
-      os << ",\"class\":" << static_cast<unsigned>(e.p.corruption.cls)
-         << ",\"target\":\""
-         << (e.p.corruption.target == 0 ? "sender" : "receiver")
-         << "\",\"a\":" << e.p.corruption.a << ",\"b\":" << e.p.corruption.b;
-      break;
-    case EventKind::kResyncInitiated:
-    case EventKind::kResyncCompleted:
-      os << ",\"token\":" << e.p.resync.token << ",\"epoch\":"
-         << e.p.resync.epoch << ",\"attempt\":" << e.p.resync.attempt
-         << ",\"reason\":\"" << to_string(e.p.resync.reason) << '"';
-      break;
-  }
+  for_each_field(e, [&](const auto& p, const auto& f) { put_json(os, p, f); });
   os << '}';
   return os.str();
 }
