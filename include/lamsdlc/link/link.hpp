@@ -52,8 +52,9 @@ class FrameSink {
 /// Timing contract: `tx_time` is the serialization time the sender budgets
 /// for pacing, and `propagation_at(t)` is an *upper bound* on the one-way
 /// delay of a frame sent at `t`.  The sim backend's bound is exact; a live
-/// backend returns its configured worst case, which keeps the release rule
-/// conservative (see docs/RUNTIME.md, "checkpoint age normalization").
+/// backend returns its configured worst case plus its loop's lateness, which
+/// keeps the release rule conservative (see docs/RUNTIME.md, "checkpoint age
+/// normalization").
 class FrameChannel {
  public:
   virtual ~FrameChannel() = default;

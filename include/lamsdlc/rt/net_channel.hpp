@@ -12,8 +12,12 @@
 /// blasting datagrams as fast as the CPU can encode them.
 ///
 /// Timing contract (see `link::FrameChannel`): `propagation_at` returns the
-/// *configured upper bound* on one-way delay, not a measurement.  Together
-/// with the mux's checkpoint age normalization this keeps the sender's
+/// *configured upper bound* on one-way delay, not a measurement, plus the
+/// loop's lateness at the send (`wall_now() - now()`).  After a stall the
+/// loop replays overdue timers at their scheduled instants, but a frame such
+/// a timer sends leaves at the wall instant; without the lateness term the
+/// sender would date it up to a whole stall too early.  Together with the
+/// mux's checkpoint age normalization this keeps the sender's
 /// provable-non-delivery release rule valid without any clock agreement
 /// between the two machines (docs/RUNTIME.md).
 
@@ -57,9 +61,7 @@ class NetChannel final : public link::FrameChannel {
   [[nodiscard]] bool busy() const override { return busy_; }
   [[nodiscard]] bool up() const override { return true; }
   [[nodiscard]] Time tx_time(const frame::Frame& f) const override;
-  [[nodiscard]] Time propagation_at(Time) const override {
-    return cfg_.max_one_way;
-  }
+  [[nodiscard]] Time propagation_at(Time) const override;
   /// @}
 
   [[nodiscard]] std::uint64_t frames_sent() const noexcept { return sent_; }

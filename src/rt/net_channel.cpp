@@ -1,5 +1,6 @@
 #include "lamsdlc/rt/net_channel.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <variant>
 
@@ -10,6 +11,10 @@ NetChannel::~NetChannel() { loop_.sim().cancel(serializer_timer_); }
 Time NetChannel::tx_time(const frame::Frame& f) const {
   const double bits = static_cast<double>(frame::encoded_size(f)) * 8.0;
   return Time::seconds(bits / cfg_.data_rate_bps);
+}
+
+Time NetChannel::propagation_at(Time) const {
+  return cfg_.max_one_way + std::max(Time{}, loop_.wall_now() - loop_.now());
 }
 
 void NetChannel::send(frame::Frame f) {

@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "lamsdlc/core/random.hpp"
 #include "lamsdlc/phy/fault_injector.hpp"
@@ -22,6 +26,8 @@ using rt::LoopbackTransport;
 using rt::PeerId;
 using rt::SessionMux;
 using rt::SimClock;
+using rt::UdpTransport;
+using rt::WallClock;
 
 std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t salt = 0) {
   std::vector<std::uint8_t> v(n);
@@ -259,6 +265,104 @@ TEST(SessionMux, RejectsConfigsTheLoopCannotRun) {
   EXPECT_THROW((SessionMux{loop, t, zero_cadence}), std::invalid_argument);
 
   EXPECT_NO_THROW((SessionMux{loop, t, mux_config()}));
+}
+
+// A WallClock loop that stalls (thread descheduled, slow handler) replays
+// every overdue timer at its scheduled instant.  Two stalls, each past
+// ~2·max_one_way (10 ms here) and well short of the C_depth·W_cp = 40 ms of
+// checkpoint silence that would start a Request-NAK, must cost no
+// retransmission over lossless loopback:
+//  - A: the stall is the first timer of a loop pass, right after the
+//    receiver drained its socket, like a late ppoll wakeup.  Serializer
+//    timers in the replay send frames at the wall instant; dated at their
+//    scheduled instant, those frames looked provably undelivered to a
+//    checkpoint generated in the same replay.
+//  - B: an fd handler sends a frame and then stalls.  Unless the loop reads
+//    its sockets before the replay, the checkpoints the replay generates
+//    have not read that frame either.
+TEST(SessionMux, LoopStallsRetransmitNothingOverLosslessUdp) {
+  WallClock loop;
+  UdpTransport ua{loop, {}};
+  UdpTransport ub{loop, {}};
+  const PeerId to_b = ua.add_peer("127.0.0.1", ub.local_port());
+
+  SessionMux::Config mc;  // max_one_way 5 ms, W_cp 5 ms
+  mc.data_rate_bps = 100e6;
+  mc.session.lams.cumulation_depth = 8;
+  SessionMux ma{loop, ua, mc};
+  SessionMux mb{loop, ub, mc};
+
+  const auto stall = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(15));
+  };
+  const auto payload = pattern(1 << 20);
+  const std::size_t half = payload.size() / 2;
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  int stalls = 0;
+  loop.watch_fd(pipe_fds[0], [&] {
+    char c;
+    ASSERT_EQ(::read(pipe_fds[0], &c, 1), 1);
+    loop.unwatch_fd(pipe_fds[0]);
+    // Stall B: the sender is idle, so this write sends a frame at once.
+    ma.stream_write(9, std::span{payload}.subspan(half));
+    ma.stream_close(9);
+    ++stalls;
+    stall();
+  });
+
+  std::vector<std::uint8_t> got;
+  bool ended = false;
+  bool clean = false;
+  bool closed = false;
+  auto maybe_stop = [&] {
+    if (ended && closed) loop.stop();
+  };
+  mb.set_inbound_data_handler(
+      [&](PeerId, std::uint32_t, std::span<const std::uint8_t> b) {
+        const std::size_t before = got.size();
+        got.insert(got.end(), b.begin(), b.end());
+        if (before < half / 2 && got.size() >= half / 2) {
+          // Stall A, mid-way through the first half.
+          loop.sim().schedule_in(Time{}, [&] {
+            ++stalls;
+            stall();
+          });
+        }
+        if (before < half && got.size() >= half) {
+          // The first half is in; once the sender has gone idle, poke the
+          // pipe so that its handler starts the second half.
+          loop.sim().schedule_in(Time::milliseconds(20), [&] {
+            ASSERT_EQ(::write(pipe_fds[1], "x", 1), 1);
+          });
+        }
+      });
+  mb.set_inbound_end_handler([&](PeerId, std::uint32_t, bool c) {
+    ended = true;
+    clean = c;
+    maybe_stop();
+  });
+  ma.set_stream_state_handler(
+      [&](std::uint32_t, lams::SessionSender::State st) {
+        if (st == lams::SessionSender::State::kClosed) {
+          closed = true;
+          maybe_stop();
+        }
+      });
+
+  ma.open_stream(to_b, 9);
+  ma.stream_write(9, std::span{payload}.first(half));
+  loop.sim().schedule_in(Time::seconds(10), [&] { loop.stop(); });  // watchdog
+  loop.run();
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+
+  EXPECT_EQ(stalls, 2);
+  EXPECT_TRUE(closed);
+  EXPECT_TRUE(clean);
+  EXPECT_EQ(got, payload);
+  ASSERT_NE(ma.stream_stats(9), nullptr);
+  EXPECT_EQ(ma.stream_stats(9)->iframe_retx, 0u);
 }
 
 }  // namespace
