@@ -6,7 +6,8 @@
 #      against the library's public API — gating.
 #   2. sanitizers: ASan/UBSan build + full suite (scripts/check_sanitize.sh),
 #      then a ThreadSanitizer build of test_rt, the suite that drives a live
-#      event loop from a second thread (scripts/check_tsan.sh) — gating.
+#      event loop from a second thread, and of test_integration's PDES and
+#      parallel-sweep suites (scripts/check_tsan.sh) — gating.
 #   3. chaos smoke: 25 seeded fault schedules under the invariant checker,
 #      with event capture enabled — every run must also produce an .ldlcap
 #      file that `lamsdlc_cli inspect` decodes cleanly.
@@ -48,7 +49,7 @@ python3 perfbench/run.py --self-test
 echo "== sanitized build + tests =="
 scripts/check_sanitize.sh
 
-echo "== ThreadSanitizer build + test_rt =="
+echo "== ThreadSanitizer build + threaded suites =="
 scripts/check_tsan.sh
 
 echo "== chaos smoke (25 seeds, capture enabled) =="
