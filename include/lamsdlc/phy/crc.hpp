@@ -32,16 +32,25 @@ namespace lamsdlc::phy {
 /// @}
 
 /// The portable slice-by-8 CRC-16.  crc16_ccitt() uses it for inputs under
-/// 64 bytes and on hosts without the carry-less-multiply kernel; exported so
-/// the differential tests cover it on hosts where that kernel runs as well.
+/// 64 bytes and on hosts without a carry-less-multiply kernel; exported so
+/// the differential tests cover it on hosts where a kernel runs as well.
 [[nodiscard]] std::uint16_t crc16_ccitt_sliced(
     std::span<const std::uint8_t> data) noexcept;
 
+/// The 128-bit PCLMULQDQ folding kernel for inputs of 64 bytes or more,
+/// crc16_ccitt_sliced() otherwise or where the CPU lacks PCLMULQDQ.
+/// crc16_ccitt() runs it on x86-64 CPUs without VPCLMULQDQ, and for inputs
+/// of 64 to 127 bytes on CPUs with it; exported so the differential tests
+/// cover it on hosts that dispatch the 256-bit kernel.
+[[nodiscard]] std::uint16_t crc16_ccitt_fold128(
+    std::span<const std::uint8_t> data) noexcept;
+
 /// Human-readable name of the backend crc16_ccitt() and crc32_ieee() run on
-/// this host (for bench output and docs): "pclmul-fold (crc16) + slice-by-8
-/// (crc32)" on x86-64 CPUs with PCLMULQDQ, "slice-by-8 (crc16) + armv8 crc32
-/// (crc32)" on AArch64 builds with the CRC extension, otherwise "slice-by-8"
-/// ("bytewise (big-endian host)" on big-endian hosts).
+/// this host (for bench output and docs): "vpclmul-fold (crc16) + slice-by-8
+/// (crc32)" on x86-64 CPUs with AVX2 and VPCLMULQDQ, "pclmul-fold (crc16) +
+/// slice-by-8 (crc32)" on those with PCLMULQDQ only, "slice-by-8 (crc16) +
+/// armv8 crc32 (crc32)" on AArch64 builds with the CRC extension, otherwise
+/// "slice-by-8" ("bytewise (big-endian host)" on big-endian hosts).
 [[nodiscard]] const char* crc_backend() noexcept;
 
 }  // namespace lamsdlc::phy

@@ -10,6 +10,10 @@
 
 #include "lamsdlc/core/random.hpp"
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <cpuid.h>
+#endif
+
 namespace lamsdlc::phy {
 namespace {
 
@@ -78,13 +82,14 @@ TEST(Crc32, LongInput) {
 // ------------------------------------------------------------ differential --
 //
 // The fast paths must be bit-identical to the bytewise reference for every
-// buffer shape.  crc16_ccitt() dispatches inputs of 64 bytes or more to a
-// carry-less-multiply folding kernel on x86-64 CPUs with PCLMULQDQ, so the
-// slice-by-8 loop it otherwise uses is checked directly as well
-// (crc16_ccitt_sliced); CRC-32 runs slice-by-8, or the ARM hardware CRC32
-// where compiled in.  Each path has distinct code for the head, the
-// steady-state loop and the tail, and every one of them has to agree with
-// the oracle.
+// buffer shape.  crc16_ccitt() dispatches inputs of 128 bytes or more to a
+// 256-bit VPCLMULQDQ folding kernel on x86-64 CPUs with AVX2 and VPCLMULQDQ,
+// and inputs of 64 bytes or more to a 128-bit PCLMULQDQ kernel on those with
+// PCLMULQDQ, so the kernels it would otherwise use are checked directly as
+// well (crc16_ccitt_fold128, crc16_ccitt_sliced); CRC-32 runs slice-by-8, or
+// the ARM hardware CRC32 where compiled in.  Each path has distinct code for
+// the head, the steady-state loop and the tail, and every one of them has to
+// agree with the oracle.
 
 std::vector<std::uint8_t> random_buffer(std::size_t n, std::uint64_t seed) {
   RandomStream rng{seed, "test.crc.diff"};
@@ -100,6 +105,7 @@ void expect_matches_oracle(std::span<const std::uint8_t> s,
                            const std::string& where) {
   const std::uint16_t want16 = crc16_ccitt_bytewise(s);
   EXPECT_EQ(crc16_ccitt(s), want16) << where;
+  EXPECT_EQ(crc16_ccitt_fold128(s), want16) << where;
   EXPECT_EQ(crc16_ccitt_sliced(s), want16) << where;
   EXPECT_EQ(crc32_ieee(s), crc32_ieee_bytewise(s)) << where;
 }
@@ -115,15 +121,17 @@ TEST(CrcDifferential, EverySingleByteValueMatchesOracle) {
   }
 }
 
-// Every length 0..1024 at every base offset 0..15.  For the 8-byte slices
-// that is every tail remainder; for the fold kernel it is the table fallback
-// below 64 bytes, the 64-byte prologue alone, every count of 4-lane steps,
-// every number of 16-byte cleanup blocks and every tail length, each from a
-// base pointer at every alignment mod 16.
+// Every length 0..2048 at every base offset 0..31.  For the 8-byte slices
+// that is every tail remainder.  For the 256-bit kernel it is the 128-byte
+// prologue alone, every count of 128-byte steps up to 15, the 64-byte step
+// of the 128-bit kernel it hands off to, every number of 16-byte cleanup
+// blocks and every tail length; for the 128-bit kernel the table fallback
+// below 64 bytes, the 64-byte prologue alone and every count of its steps
+// and cleanups.  Each starts from a base pointer at every alignment mod 32.
 TEST(CrcDifferential, AllShortLengthsMatchOracle) {
-  const auto data = random_buffer(1024 + 16, 11);
-  for (std::size_t off = 0; off < 16; ++off) {
-    for (std::size_t len = 0; len <= 1024; ++len) {
+  const auto data = random_buffer(2048 + 32, 11);
+  for (std::size_t off = 0; off < 32; ++off) {
+    for (std::size_t len = 0; len <= 2048; ++len) {
       const std::span<const std::uint8_t> s{data.data() + off, len};
       expect_matches_oracle(s, "off " + std::to_string(off) + " len " +
                                    std::to_string(len));
@@ -181,6 +189,7 @@ TEST(CrcDifferential, KnownAnswerVectors) {
   EXPECT_EQ(crc32_ieee_bytewise(bytes("abc")), 0x352441C2u);
   // And the fast paths against the same constants directly.
   EXPECT_EQ(crc16_ccitt(bytes("123456789")), 0x29B1);
+  EXPECT_EQ(crc16_ccitt_fold128(bytes("123456789")), 0x29B1);
   EXPECT_EQ(crc16_ccitt_sliced(bytes("123456789")), 0x29B1);
   EXPECT_EQ(crc32_ieee(bytes("abc")), 0x352441C2u);
 }
@@ -190,19 +199,51 @@ TEST(CrcDifferential, BackendReportsNonEmptyName) {
   EXPECT_NE(std::string_view{crc_backend()}, "");
 }
 
-// A dispatch bug that left a PCLMULQDQ host on the table path would pass
-// every differential test above while losing the kernel's whole gain.
+// A dispatch bug that left a PCLMULQDQ host on the table path, or a
+// VPCLMULQDQ host on the 128-bit kernel, would pass every differential test
+// above while losing the kernel's whole gain.
 TEST(CrcDifferential, FoldKernelRunsWherePclmulIsAvailable) {
 #if defined(__x86_64__) && defined(__GNUC__)
   __builtin_cpu_init();
   if (!__builtin_cpu_supports("pclmul") || !__builtin_cpu_supports("ssse3")) {
     GTEST_SKIP() << "CPU lacks PCLMULQDQ or SSSE3";
   }
-  EXPECT_NE(std::string_view{crc_backend()}.find("pclmul-fold"),
-            std::string_view::npos)
-      << crc_backend();
+  const std::string_view backend{crc_backend()};
+  EXPECT_NE(backend.find("pclmul-fold"), std::string_view::npos) << backend;
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("vpclmulqdq")) {
+    EXPECT_NE(backend.find("vpclmul-fold"), std::string_view::npos)
+        << backend;
+  }
 #else
   GTEST_SKIP() << "the fold kernel is built for x86-64 only";
+#endif
+}
+
+// The 256-bit kernel must leave the upper halves of the YMM registers clean
+// (vzeroupper) when it returns.  Dirty upper state makes every later
+// legacy-SSE instruction in the process pay a merge, which cost whole
+// link_8k runs ~18% while every CRC stayed right.  XGETBV with ECX=1 reads
+// XINUSE, whose bit 2 is set while that state is in use.
+TEST(CrcDifferential, WideKernelLeavesUpperYmmStateClean) {
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (std::string_view{crc_backend()}.find("vpclmul-fold") ==
+      std::string_view::npos) {
+    GTEST_SKIP() << "the 256-bit kernel is not dispatched on this CPU";
+  }
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid_count(0x0D, 1, &eax, &ebx, &ecx, &edx) ||
+      (eax & (1u << 2)) == 0) {
+    GTEST_SKIP() << "CPU lacks XGETBV with ECX=1";
+  }
+  const auto data = random_buffer(8192, 14);
+  asm volatile("vzeroupper" ::: "memory");
+  const std::uint16_t crc = crc16_ccitt(data);
+  std::uint32_t xinuse = 0, high = 0;
+  asm volatile("xgetbv" : "=a"(xinuse), "=d"(high) : "c"(1) : "memory");
+  EXPECT_EQ(crc, crc16_ccitt_bytewise(data));
+  EXPECT_EQ(xinuse & (1u << 2), 0u) << "XINUSE = 0x" << std::hex << xinuse;
+#else
+  GTEST_SKIP() << "the 256-bit kernel is built for x86-64 only";
 #endif
 }
 
