@@ -157,8 +157,8 @@ class LamsReceiver final : public link::FrameSink {
     Time detected_at;
   };
 
-  void handle_iframe(const frame::IFrame& in, bool corrupted);
-  void deliver_up(const frame::IFrame& in, std::uint64_t ctr);
+  void handle_iframe(frame::IFrame& in, bool corrupted);
+  void deliver_up(frame::IFrame& in, std::uint64_t ctr);
   void finish_deliver_up(std::uint32_t slot);
   void handle_request_nak(const frame::RequestNakFrame& rq);
   void handle_resync(const frame::ResyncFrame& rs);
@@ -218,8 +218,8 @@ class LamsReceiver final : public link::FrameSink {
 
   /// Slot pool for packets riding the t_proc pipeline: the scheduled
   /// callback captures only {this, slot}, which fits the simulator's inline
-  /// callback storage, and a recycled slot reuses its payload vector's
-  /// capacity — the steady-state delivery path allocates nothing.
+  /// callback storage, and a delivered frame's payload moves into its slot
+  /// — the delivery path neither allocates nor copies payload bytes.
   struct UpSlot {
     sim::Packet packet;
     std::uint64_t ctr = 0;

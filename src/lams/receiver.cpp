@@ -190,7 +190,7 @@ void LamsReceiver::prune_history() {
 
 void LamsReceiver::on_frame(frame::Frame f) {
   if (!running_) return;  // a stopped receiver is dead: no processing at all
-  if (const auto* in = std::get_if<frame::IFrame>(&f.body)) {
+  if (auto* in = std::get_if<frame::IFrame>(&f.body)) {
     handle_iframe(*in, f.corrupted);
     return;
   }
@@ -208,7 +208,7 @@ void LamsReceiver::on_frame(frame::Frame f) {
   }
 }
 
-void LamsReceiver::handle_iframe(const frame::IFrame& in, bool corrupted) {
+void LamsReceiver::handle_iframe(frame::IFrame& in, bool corrupted) {
   if (sim_.now() < resync_guard_until_) {
     // Straggler of the epoch a just-applied RESYNC killed: its number means
     // nothing under the fresh anchor, and accepting it would poison
@@ -302,7 +302,7 @@ void LamsReceiver::handle_iframe(const frame::IFrame& in, bool corrupted) {
   deliver_up(in, ctr);
 }
 
-void LamsReceiver::deliver_up(const frame::IFrame& in, std::uint64_t ctr) {
+void LamsReceiver::deliver_up(frame::IFrame& in, std::uint64_t ctr) {
   // Forward upward after t_proc; no resequencing hold (Section 3.3).
   ++processing_;
   if (stats_) {
@@ -324,7 +324,7 @@ void LamsReceiver::deliver_up(const frame::IFrame& in, std::uint64_t ctr) {
   s.packet.message_id = 0;
   s.packet.msg_index = 0;
   s.packet.msg_count = 1;
-  s.packet.data = in.payload;  // copy-assign reuses the slot's capacity
+  s.packet.data = std::move(in.payload);  // on_frame owns the frame
   s.ctr = ctr;
   sim_.schedule_in(cfg_.t_proc, [this, slot] { finish_deliver_up(slot); });
 }
