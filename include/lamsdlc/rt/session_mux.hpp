@@ -84,9 +84,10 @@ class SessionMux {
         bus_for;
   };
 
-  /// Throws std::invalid_argument when \p cfg has a zero `chunk_bytes`, a
-  /// `data_rate_bps` that is not positive and finite, or a non-positive
-  /// checkpoint interval.
+  /// Throws std::invalid_argument when \p cfg has a zero `chunk_bytes` or
+  /// one whose data envelope exceeds `transport.max_datagram()` (65,478
+  /// bytes at UDP's 65,507), a `data_rate_bps` that is not positive and
+  /// finite, or a non-positive checkpoint interval.
   SessionMux(EventLoop& loop, Transport& transport, Config cfg);
   ~SessionMux();
 

@@ -63,10 +63,20 @@ struct SessionMux::RxSession final : sim::PacketListener {
 SessionMux::SessionMux(EventLoop& loop, Transport& transport, Config cfg)
     : loop_{loop}, transport_{transport}, cfg_{std::move(cfg)} {
   // Each of these would wedge the protocol thread instead of failing: an
-  // endless segmentation loop, an infinite serialization time, or a
+  // endless segmentation loop, a data envelope every send refuses (the
+  // stream retransmits forever), an infinite serialization time, or a
   // checkpoint cadence that reschedules itself at the same instant.
   if (cfg_.chunk_bytes == 0) {
     throw std::invalid_argument("SessionMux: chunk_bytes must be positive");
+  }
+  frame::IFrame chunk;
+  chunk.payload_bytes = cfg_.chunk_bytes;
+  frame::Envelope data;
+  data.has_packet_id = true;
+  if (frame::envelope_encoded_size(data) + frame::encoded_size({chunk}) >
+      transport_.max_datagram()) {
+    throw std::invalid_argument(
+        "SessionMux: chunk_bytes does not fit the transport's datagram");
   }
   if (!(cfg_.data_rate_bps > 0) || !std::isfinite(cfg_.data_rate_bps)) {
     throw std::invalid_argument(

@@ -252,6 +252,17 @@ TEST(SessionMux, RejectsConfigsTheLoopCannotRun) {
   zero_chunk.chunk_bytes = 0;
   EXPECT_THROW((SessionMux{loop, t, zero_chunk}), std::invalid_argument);
 
+  // 18 envelope bytes (with packet id) + 11 I-frame bytes + the chunk must
+  // fit one datagram, or every send refuses the frame and the stream
+  // retransmits it forever.
+  ASSERT_EQ(t.max_datagram(), 65507u);
+  SessionMux::Config oversized_chunk = mux_config();
+  oversized_chunk.chunk_bytes = 65479;
+  EXPECT_THROW((SessionMux{loop, t, oversized_chunk}), std::invalid_argument);
+  SessionMux::Config largest_chunk = mux_config();
+  largest_chunk.chunk_bytes = 65478;
+  EXPECT_NO_THROW((SessionMux{loop, t, largest_chunk}));
+
   for (const double rate : {0.0, -1.0, std::numeric_limits<double>::infinity(),
                             std::nan("")}) {
     SessionMux::Config bad_rate = mux_config();
