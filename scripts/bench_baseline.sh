@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Append one row to BENCH_ledger.jsonl, the repo's record of measured
 # performance (one JSON object per line; earlier lines are never rewritten).
-# The row holds:
+# Besides its commit and host_cores, the row names the host's CRC-16 kernel
+# (crc_backend, from perfbench's `host:` line: the kernel is chosen from
+# CPUID, so the core count alone does not identify a host) and its CPU model
+# (from /proc/cpuinfo).  Compare only rows whose three agree.  The row holds:
 #
 #   perfbench    — the median of every end-to-end metric of each workload,
 #                  from `perfbench/steady.py --save` (10 seeds x 30 s each);
@@ -34,6 +37,9 @@ trap 'rm -rf "$TMP"' EXIT
 echo "== perfbench medians =="
 python3 perfbench/steady.py --save "$TMP/steady.json"
 
+HOST_LINE="$(python3 perfbench/run.py --workload link_8k --seed 1 \
+  --seconds 1 --trace 0 | grep '^host: nproc=')"
+
 echo "== kernel workloads =="
 "$KERNEL" | tee "$TMP/kernel.json"
 
@@ -46,17 +52,26 @@ t2=$(date +%s%N)
 cmp -s "$TMP/serial.txt" "$TMP/parallel.txt" ||
   { echo "FATAL: parallel sweep output differs from serial" >&2; exit 1; }
 
-python3 - "$TMP" "$COMMIT" "$JOBS" "$SOAK_SEEDS" \
+python3 - "$TMP" "$COMMIT" "$JOBS" "$SOAK_SEEDS" "$HOST_LINE" \
   $(( (t1 - t0) / 1000000 )) $(( (t2 - t1) / 1000000 )) \
   >> BENCH_ledger.jsonl <<'EOF'
-import datetime, json, sys
+import datetime, json, re, sys
 
-tmp, commit, jobs, seeds, serial_ms, par_ms = sys.argv[1:]
+tmp, commit, jobs, seeds, host_line, serial_ms, par_ms = sys.argv[1:]
 steady = json.load(open(tmp + "/steady.json"))
+backend = re.search(r"crc_backend=(.*) build_type=", host_line)
+cpu_model = "unknown"
+with open("/proc/cpuinfo") as f:
+    for line in f:
+        if line.startswith("model name"):
+            cpu_model = line.split(":", 1)[1].strip()
+            break
 row = {
     "date": datetime.date.today().isoformat(),
     "commit": commit,
     "host_cores": int(jobs),
+    "crc_backend": backend.group(1) if backend else "unknown",
+    "cpu_model": cpu_model,
     "command": "scripts/bench_baseline.sh",
     "numbers": {
         "perfbench": {w: {m: float("%.6g" % v["median"])
